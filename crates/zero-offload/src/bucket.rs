@@ -13,15 +13,21 @@
 use bytes::Bytes;
 use zo_tensor::F16;
 
-use crate::wire::encode_frame;
+use crate::wire::{extend_f16_le, quantize_into, seal_frame, GradFrame, HEADER_BYTES};
 
 /// Packs gradient spans into fixed-size wire frames.
+///
+/// The open bucket *is* the frame under construction: header space is
+/// reserved up front and payload bytes are appended in place, so closing
+/// the bucket only patches the header (checksumming the payload once) and
+/// hands the buffer over — staged values are never copied again.
 pub struct GradBucketer {
     capacity_elems: usize,
     seq: u32,
     /// Flat offset of the first staged element, if any.
     open_offset: Option<u64>,
-    staged: Vec<F16>,
+    /// The open frame: `HEADER_BYTES` reserved, then the staged payload.
+    open: Vec<u8>,
     emitted: Vec<Bytes>,
     total_payload_bytes: u64,
     total_wire_bytes: u64,
@@ -52,7 +58,7 @@ impl GradBucketer {
             capacity_elems: capacity_bytes / 2,
             seq: 0,
             open_offset: None,
-            staged: Vec::new(),
+            open: Vec::new(),
             emitted: Vec::new(),
             total_payload_bytes: 0,
             total_wire_bytes: 0,
@@ -61,31 +67,61 @@ impl GradBucketer {
         }
     }
 
-    /// Elements the open bucket can still take.
-    pub fn remaining(&self) -> usize {
-        self.capacity_elems - self.staged.len()
+    /// Elements staged in the open bucket.
+    fn staged(&self) -> usize {
+        self.open.len().saturating_sub(HEADER_BYTES) / 2
     }
 
-    /// Stages a gradient span starting at flat `offset`.
+    /// Elements the open bucket can still take.
+    pub fn remaining(&self) -> usize {
+        self.capacity_elems - self.staged()
+    }
+
+    /// Stages a span of already-narrowed values starting at flat `offset`.
     ///
     /// Spans must arrive with offsets that are contiguous within a bucket;
     /// a non-contiguous span closes the open bucket first.
     pub fn push(&mut self, offset: u64, values: &[F16]) {
-        let mut offset = offset;
-        let mut values = values;
+        self.stage(offset, values.len(), |payload, span| {
+            extend_f16_le(payload, &values[span])
+        });
+    }
+
+    /// Stages a span of fp32 gradients, quantizing them
+    /// ([`quantize_into`]: scale by `scale / denom`, narrow to fp16)
+    /// straight into the open frame's payload. Returns the overflow flag.
+    pub fn push_grads(&mut self, offset: u64, grads: &[f32], denom: f32, scale: f32) -> bool {
+        let mut overflow = false;
+        self.stage(offset, grads.len(), |payload, span| {
+            overflow |= quantize_into(&grads[span], denom, scale, payload)
+        });
+        overflow
+    }
+
+    /// Splits a span of `len` elements at `offset` over bucket boundaries;
+    /// `append` writes the payload bytes of each piece.
+    fn stage(
+        &mut self,
+        mut offset: u64,
+        len: usize,
+        mut append: impl FnMut(&mut Vec<u8>, core::ops::Range<usize>),
+    ) {
         // Close the bucket on discontinuity.
         if let Some(open) = self.open_offset {
-            if open + self.staged.len() as u64 != offset {
+            if open + self.staged() as u64 != offset {
                 self.flush();
             }
         }
-        while !values.is_empty() {
+        let mut done = 0;
+        while done < len {
             if self.open_offset.is_none() {
                 self.open_offset = Some(offset);
+                self.open.resize(HEADER_BYTES, 0);
             }
-            let take = self.remaining().min(values.len());
-            self.staged.extend_from_slice(&values[..take]);
-            values = &values[take..];
+            let take = self.remaining().min(len - done);
+            self.open.reserve(2 * take);
+            append(&mut self.open, done..done + take);
+            done += take;
             offset += take as u64;
             if self.remaining() == 0 {
                 self.flush();
@@ -95,25 +131,22 @@ impl GradBucketer {
 
     /// Closes the open bucket (if non-empty), emitting its frame.
     pub fn flush(&mut self) {
-        if self.staged.is_empty() {
-            self.open_offset = None;
+        // An open offset implies at least one staged element.
+        let Some(offset) = self.open_offset.take() else {
             return;
-        }
-        let offset = self.open_offset.take().expect("staged implies open");
-        let frame = encode_frame(self.seq, offset, &self.staged);
-        self.total_payload_bytes += 2 * self.staged.len() as u64;
+        };
+        let staged = self.staged();
+        let mut frame = core::mem::take(&mut self.open);
+        seal_frame(&mut frame, self.seq, offset);
+        self.total_payload_bytes += 2 * staged as u64;
         self.total_wire_bytes += frame.len() as u64;
         self.tracer
             .add(&self.track, "tx_wire_bytes", frame.len() as u64);
-        self.tracer.add(
-            &self.track,
-            "tx_payload_bytes",
-            2 * self.staged.len() as u64,
-        );
+        self.tracer
+            .add(&self.track, "tx_payload_bytes", 2 * staged as u64);
         self.tracer.add(&self.track, "tx_frames", 1);
-        self.emitted.push(frame);
+        self.emitted.push(Bytes::from(frame));
         self.seq += 1;
-        self.staged.clear();
     }
 
     /// Takes all frames emitted so far.
@@ -137,6 +170,25 @@ impl GradBucketer {
     }
 }
 
+/// Widens one validated frame into its span of the flat fp32 gradient
+/// buffer, multiplying by `unscale` on the way if given
+/// ([`GradFrame::widen_into`]). Returns the number of elements written.
+///
+/// # Panics
+///
+/// Panics if the frame extends past `dst.len()`.
+pub fn scatter_frame(frame: &GradFrame, dst: &mut [f32], unscale: Option<f32>) -> usize {
+    let start = frame.offset as usize;
+    let end = start + frame.len();
+    assert!(
+        end <= dst.len(),
+        "frame [{start}, {end}) exceeds buffer {}",
+        dst.len()
+    );
+    frame.widen_into(&mut dst[start..end], unscale);
+    frame.len()
+}
+
 /// Reassembles decoded frames into a flat fp32 gradient buffer.
 ///
 /// Returns the number of elements written. Overlapping frames overwrite —
@@ -145,20 +197,8 @@ impl GradBucketer {
 /// # Panics
 ///
 /// Panics if a frame extends past `dst.len()`.
-pub fn scatter_frames(frames: &[crate::wire::GradFrame], dst: &mut [f32]) -> usize {
-    let mut written = 0;
-    for f in frames {
-        let start = f.offset as usize;
-        let end = start + f.values.len();
-        assert!(
-            end <= dst.len(),
-            "frame [{start}, {end}) exceeds buffer {}",
-            dst.len()
-        );
-        F16::to_f32_slice(&f.values, &mut dst[start..end]);
-        written += f.values.len();
-    }
-    written
+pub fn scatter_frames(frames: &[GradFrame], dst: &mut [f32]) -> usize {
+    frames.iter().map(|f| scatter_frame(f, dst, None)).sum()
 }
 
 /// Picks a bucket byte budget: large enough that headers are negligible,
@@ -170,7 +210,7 @@ pub fn default_bucket_bytes() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_frame, frame_bytes};
+    use crate::wire::{decode_frame, encode_frame, frame_bytes};
 
     fn vals(range: core::ops::Range<usize>) -> Vec<F16> {
         range.map(|i| F16::from_f32(i as f32 * 0.5)).collect()
@@ -192,10 +232,10 @@ mod tests {
             .collect();
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0].offset, 0);
-        assert_eq!(frames[0].values.len(), 8);
+        assert_eq!(frames[0].len(), 8);
         assert_eq!(frames[1].offset, 8);
         assert_eq!(frames[2].offset, 16);
-        assert_eq!(frames[2].values.len(), 4);
+        assert_eq!(frames[2].len(), 4);
         // Sequence numbers are monotone.
         assert_eq!(
             frames.iter().map(|f| f.seq).collect::<Vec<_>>(),
@@ -260,11 +300,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds buffer")]
     fn scatter_bounds_checked() {
-        let frames = vec![crate::wire::GradFrame {
-            seq: 0,
-            offset: 30,
-            values: vec![F16::ONE; 5],
-        }];
+        let frames = [decode_frame(encode_frame(0, 30, &[F16::ONE; 5])).unwrap()];
         let mut dst = vec![0.0f32; 32];
         scatter_frames(&frames, &mut dst);
     }

@@ -7,7 +7,7 @@
 //! a pure function of the master copy (`float2half`).
 //!
 //! The on-disk file format frames the JSON payload with a validated
-//! header (`magic | version | payload length | FNV-1a checksum`), so a
+//! header (`magic | version | payload length | checksum`), so a
 //! write that died partway — e.g. under an injected `checkpoint.write`
 //! fault — is *detected* at restore time as a typed error instead of a
 //! deserializer panic or, worse, a silently-wrong resume.
@@ -76,6 +76,11 @@ pub enum CheckpointError {
         /// The value found.
         found: u32,
     },
+    /// The file was written in a format version this build does not read.
+    BadVersion {
+        /// The value found.
+        found: u32,
+    },
     /// The payload checksum does not match the header.
     Corrupted {
         /// Checksum recorded in the header.
@@ -112,6 +117,9 @@ impl core::fmt::Display for CheckpointError {
             CheckpointError::BadMagic { found } => {
                 write!(f, "not a checkpoint file (magic {found:#010x})")
             }
+            CheckpointError::BadVersion { found } => {
+                write!(f, "unsupported checkpoint version {found}")
+            }
             CheckpointError::Corrupted { expected, computed } => write!(
                 f,
                 "checkpoint corrupted: checksum header {expected:#010x}, payload {computed:#010x}"
@@ -129,8 +137,10 @@ impl std::error::Error for CheckpointError {}
 /// Checkpoint file magic: "ZOck".
 pub const FILE_MAGIC: u32 = 0x5A4F_636B;
 
-/// Current checkpoint file format version.
-pub const FILE_VERSION: u32 = 1;
+/// Current checkpoint file format version. Version 2 changed the frame
+/// checksum ([`crate::framing::checksum`]); a version-1 file decodes to
+/// [`CheckpointError::BadVersion`].
+pub const FILE_VERSION: u32 = 2;
 
 /// The checkpoint frame family (shared codec, checkpoint identity).
 const FILE_FRAME: FrameSpec = FrameSpec {
@@ -143,9 +153,7 @@ impl From<FrameError> for CheckpointError {
         match err {
             FrameError::Truncated { have, need } => CheckpointError::Truncated { have, need },
             FrameError::BadMagic { found } => CheckpointError::BadMagic { found },
-            FrameError::BadVersion { found } => CheckpointError::Malformed {
-                detail: format!("unsupported checkpoint version {found}"),
-            },
+            FrameError::BadVersion { found } => CheckpointError::BadVersion { found },
             FrameError::Corrupted { expected, computed } => {
                 CheckpointError::Corrupted { expected, computed }
             }
@@ -154,7 +162,7 @@ impl From<FrameError> for CheckpointError {
 }
 
 /// Encodes a checkpoint into the framed on-disk byte format:
-/// `magic | version | payload_len | fnv1a(payload) | JSON payload`.
+/// `magic | version | payload_len | checksum(payload) | JSON payload`.
 pub fn encode_checkpoint_bytes(ckpt: &TrainingCheckpoint) -> Vec<u8> {
     // Plain-old-data: serialization cannot fail.
     let payload = serde_json::to_string(ckpt)
@@ -446,6 +454,20 @@ mod tests {
     fn foreign_file_rejected_by_magic() {
         let err = super::decode_checkpoint_bytes(b"definitely not a checkpoint").unwrap_err();
         assert!(matches!(err, super::CheckpointError::BadMagic { .. }));
+    }
+
+    #[test]
+    fn version_1_file_is_bad_version_not_corrupted() {
+        // A file from a build that still wrote the FNV-1a checksum: its
+        // version field says 1, so it is refused by version before the
+        // (incompatible) checksum is ever compared.
+        let engine = ZeroOffloadEngine::new(GptModel::new(GPT, 8), cfg());
+        let mut bytes = super::encode_checkpoint_bytes(&engine.save_checkpoint());
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            super::decode_checkpoint_bytes(&bytes).unwrap_err(),
+            super::CheckpointError::BadVersion { found: 1 }
+        );
     }
 
     #[test]

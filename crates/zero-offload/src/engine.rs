@@ -22,12 +22,12 @@ use zo_optim::{clip, AdamState, DynamicLossScaler};
 use zo_tensor::{cast_f32_to_f16, F16};
 use zo_trace::Tracer;
 
-use crate::bucket::{scatter_frames, GradBucketer};
+use crate::bucket::{scatter_frame, GradBucketer};
 use crate::config::{resolve_fault_plan, resolve_tracer, OffloadDevice, ZeroOffloadConfig};
 use crate::pipeline::{
     build_offload_updater, GradStream, Placement, StepError, StepPipeline, Updater,
 };
-use crate::wire::{decode_frame_traced, quantize_grads, ship_frame};
+use crate::wire::{decode_frame_traced, ship_frame};
 
 /// What a call to [`ZeroOffloadEngine::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,9 +77,10 @@ pub struct EngineStats {
     pub frames: u64,
 }
 
-/// Ships the staged frames, reassembles them host-side, unscales, and
-/// updates traffic counters and memory high-water marks — the tail of the
-/// gradient offload shared by the streamed and post-hoc transfer paths.
+/// Ships the staged frames, validates each and widens·unscales it straight
+/// into its span of the host gradient buffer, and updates traffic counters
+/// and memory high-water marks — the tail of the gradient offload shared
+/// by the streamed and post-hoc transfer paths.
 ///
 /// With a fault session, every frame passes the `wire.d2h` gate (bounded
 /// retry; fatal faults abort the transfer with a typed error). Pass `None`
@@ -95,18 +96,16 @@ fn finish_offload(
     mut faults: Option<&mut FaultSession>,
 ) -> Result<(), FaultError> {
     bucketer.flush();
-    let mut frames = Vec::new();
+    let unscale = Some(1.0 / scale);
     for raw in bucketer.take_frames() {
         let raw = match faults.as_deref_mut() {
             Some(session) => ship_frame(raw, session, tracer, "pcie")?,
             None => raw,
         };
-        frames.push(
-            decode_frame_traced(tracer, "pcie", raw).expect("loopback frames are well-formed"),
-        );
+        let frame =
+            decode_frame_traced(tracer, "pcie", raw).expect("loopback frames are well-formed");
+        scatter_frame(&frame, grads, unscale);
     }
-    scatter_frames(&frames, grads);
-    zo_tensor::ops::scale(grads, 1.0 / scale);
     stats.d2h_bytes += bucketer.payload_bytes();
     stats.wire_bytes += bucketer.wire_bytes();
     stats.frames += u64::from(bucketer.frames_emitted());
@@ -127,10 +126,6 @@ pub(crate) struct ReplicaPlacement {
     /// Flat offset ranges of each layer bucket, in canonical order.
     layer_ranges: Vec<core::ops::Range<usize>>,
     bucket_bytes: usize,
-    /// fp16 cast scratch for the post-hoc transfer, reused across steps.
-    wire: Vec<F16>,
-    /// fp32 scale scratch feeding the batched narrowing codec, reused.
-    wire32: Vec<f32>,
     /// fp32 widening scratch for the h2d parameter copy, reused.
     widened: Vec<f32>,
 }
@@ -188,15 +183,8 @@ impl<M: Model> Placement<M> for ReplicaPlacement {
         let mut overflow = false;
         let mut bucketer = GradBucketer::traced(self.bucket_bytes, tracer.clone(), "pcie");
         for range in self.layer_ranges.iter().rev() {
-            let quantized = quantize_grads(
-                &grads[range.clone()],
-                denom,
-                scale,
-                &mut self.wire32,
-                &mut self.wire,
-            );
-            overflow |= quantized;
-            bucketer.push(range.start as u64, &self.wire);
+            overflow |=
+                bucketer.push_grads(range.start as u64, &grads[range.clone()], denom, scale);
         }
         let gate = if degraded { None } else { Some(faults) };
         finish_offload(&mut bucketer, grads, scale, stats, tracer, gate)?;
@@ -272,8 +260,6 @@ impl<M: Model> ZeroOffloadEngine<M> {
         let placement = ReplicaPlacement {
             layer_ranges: layer_ranges.clone(),
             bucket_bytes: cfg.bucket_bytes,
-            wire: Vec::new(),
-            wire32: Vec::new(),
             widened: Vec::new(),
         };
         let plan = resolve_fault_plan(cfg.faults);

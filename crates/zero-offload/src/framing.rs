@@ -7,12 +7,14 @@
 //! their payload with this 20-byte header:
 //!
 //! ```text
-//! magic (u32 LE) | version (u32 LE) | payload_len (u64 LE) | fnv1a (u32 LE)
+//! magic (u32 LE) | version (u32 LE) | payload_len (u64 LE) | checksum (u32 LE)
 //! ```
 //!
 //! The codec is parameterized by a [`FrameSpec`] (magic + version), so
 //! each consumer keeps its own file identity while sharing one decoder —
-//! and one proptest suite — for the torn/corrupt/foreign cases.
+//! and one proptest suite — for the torn/corrupt/foreign cases. The
+//! gradient wire frames ([`crate::wire`]) have their own header but the
+//! same [`checksum`].
 
 /// Frame header size: magic, version, payload length, checksum.
 pub const HEADER_BYTES: usize = 4 + 4 + 8 + 4;
@@ -77,31 +79,84 @@ impl core::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// FNV-1a over the payload bytes (same recurrence as the wire frames).
-pub fn fnv1a(payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in payload {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+/// Independent lanes of [`checksum`]; one block is a 64-bit word per lane.
+const LANES: usize = 4;
+const BLOCK_BYTES: usize = 8 * LANES;
+
+/// Odd 64-bit multiplier (2^64 / golden ratio): `x -> (x ^ w) * MUL` is a
+/// bijection of the lane state for any word `w`.
+const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Distinct non-zero lane seeds, so equal words in different lanes do not
+/// cancel.
+const SEEDS: [u64; LANES] = [
+    0xCBF2_9CE4_8422_2325,
+    0x8422_2325_CBF2_9CE4,
+    0x6C62_272E_07BB_0142,
+    0x07BB_0142_6C62_272E,
+];
+
+/// Xor-multiplies one 32-byte block into the lanes, word `i` into lane `i`.
+#[inline(always)]
+fn absorb(lanes: &mut [u64; LANES], block: &[u8]) {
+    for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+        *lane = (*lane ^ word).wrapping_mul(MUL);
     }
-    h
 }
 
-/// Encodes `payload` into a framed blob under `spec`.
-pub fn encode_frame(spec: FrameSpec, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
-    out.extend_from_slice(&spec.magic.to_le_bytes());
-    out.extend_from_slice(&spec.version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// The 32-bit payload checksum of every frame family in this crate.
+///
+/// Defined on bytes, independent of the host's endianness: the payload is
+/// cut into 32-byte blocks, each block into four little-endian 64-bit
+/// words, and word `i` is xor-multiplied into lane `i` — four independent
+/// dependency chains, so a core retires a block every few cycles instead
+/// of one byte per multiply latency. The tail (0–31 bytes) is zero-padded
+/// to one final block, which is always absorbed; the payload length is
+/// then folded in with the lanes, so padding cannot be confused with real
+/// zero bytes and an extension or truncation by zeros is detected.
+pub fn checksum(payload: &[u8]) -> u32 {
+    let mut lanes = SEEDS;
+    let mut blocks = payload.chunks_exact(BLOCK_BYTES);
+    for block in &mut blocks {
+        absorb(&mut lanes, block);
+    }
+    let tail = blocks.remainder();
+    let mut last = [0u8; BLOCK_BYTES];
+    last[..tail.len()].copy_from_slice(tail);
+    absorb(&mut lanes, &last);
+
+    let mut h = payload.len() as u64;
+    for lane in lanes {
+        h = (h ^ lane).wrapping_mul(MUL);
+        h ^= h >> 32;
+    }
+    h as u32
+}
+
+/// The parsed, not yet payload-verified header of a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FrameHeader {
+    /// Payload bytes the frame claims to carry.
+    pub(crate) payload_len: usize,
+    /// [`checksum`] of the payload, as recorded by the writer.
+    pub(crate) checksum: u32,
+}
+
+/// The header that frames `payload` under `spec`.
+pub(crate) fn encode_header(spec: FrameSpec, payload: &[u8]) -> [u8; HEADER_BYTES] {
+    let mut out = [0u8; HEADER_BYTES];
+    out[0..4].copy_from_slice(&spec.magic.to_le_bytes());
+    out[4..8].copy_from_slice(&spec.version.to_le_bytes());
+    out[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    out[16..20].copy_from_slice(&checksum(payload).to_le_bytes());
     out
 }
 
-/// Decodes a framed blob, validating magic, version, length and checksum
-/// before returning a view of the payload. Trailing bytes beyond the
-/// framed length are ignored (a frame knows its own extent).
-pub fn decode_frame(spec: FrameSpec, bytes: &[u8]) -> Result<&[u8], FrameError> {
+/// Parses the header at the start of `bytes`, validating magic and
+/// version. The payload is validated separately ([`FrameHeader::verify`])
+/// so a reader can bound the length before it fetches the payload.
+pub(crate) fn decode_header(spec: FrameSpec, bytes: &[u8]) -> Result<FrameHeader, FrameError> {
     if bytes.len() < HEADER_BYTES {
         return Err(FrameError::Truncated {
             have: bytes.len(),
@@ -117,21 +172,50 @@ pub fn decode_frame(spec: FrameSpec, bytes: &[u8]) -> Result<&[u8], FrameError> 
     if version != spec.version {
         return Err(FrameError::BadVersion { found: version });
     }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-    let expected = word(16);
-    let payload = &bytes[HEADER_BYTES..];
-    if payload.len() < len {
-        return Err(FrameError::Truncated {
-            have: payload.len(),
-            need: len,
-        });
+    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    Ok(FrameHeader {
+        // A length past the address space is longer than any buffer.
+        payload_len: usize::try_from(len).unwrap_or(usize::MAX),
+        checksum: word(16),
+    })
+}
+
+impl FrameHeader {
+    /// Validates the bytes after the header against it and returns the
+    /// payload. Bytes beyond the framed length are ignored (a frame knows
+    /// its own extent).
+    pub(crate) fn verify<'a>(&self, after_header: &'a [u8]) -> Result<&'a [u8], FrameError> {
+        if after_header.len() < self.payload_len {
+            return Err(FrameError::Truncated {
+                have: after_header.len(),
+                need: self.payload_len,
+            });
+        }
+        let payload = &after_header[..self.payload_len];
+        let computed = checksum(payload);
+        if computed != self.checksum {
+            return Err(FrameError::Corrupted {
+                expected: self.checksum,
+                computed,
+            });
+        }
+        Ok(payload)
     }
-    let payload = &payload[..len];
-    let computed = fnv1a(payload);
-    if computed != expected {
-        return Err(FrameError::Corrupted { expected, computed });
-    }
-    Ok(payload)
+}
+
+/// Encodes `payload` into a framed blob under `spec`.
+pub fn encode_frame(spec: FrameSpec, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
+    out.extend_from_slice(&encode_header(spec, payload));
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Decodes a framed blob, validating magic, version, length and checksum
+/// before returning a view of the payload. Trailing bytes beyond the
+/// framed length are ignored.
+pub fn decode_frame(spec: FrameSpec, bytes: &[u8]) -> Result<&[u8], FrameError> {
+    decode_header(spec, bytes)?.verify(&bytes[HEADER_BYTES..])
 }
 
 #[cfg(test)]
@@ -192,6 +276,73 @@ mod tests {
             decode_frame(vnext, &blob),
             Err(FrameError::BadVersion { found: 1 })
         ));
+    }
+
+    /// The definition of [`checksum`], written word-at-a-time from bytes.
+    fn naive_checksum(payload: &[u8]) -> u32 {
+        let mut padded = payload.to_vec();
+        padded.resize((payload.len() / 32 + 1) * 32, 0);
+        let mut lanes = SEEDS;
+        for (i, word) in padded.chunks(8).enumerate() {
+            let mut w = 0u64;
+            for (k, &b) in word.iter().enumerate() {
+                w |= u64::from(b) << (8 * k);
+            }
+            lanes[i % 4] = (lanes[i % 4] ^ w).wrapping_mul(MUL);
+        }
+        let mut h = payload.len() as u64;
+        for lane in lanes {
+            h = (h ^ lane).wrapping_mul(MUL);
+            h ^= h >> 32;
+        }
+        h as u32
+    }
+
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checksum_matches_naive_reference_at_every_tail_length() {
+        for len in (0..200).chain([255, 256, 257, 4095, 4096, 4097]) {
+            let payload = noise(len, len as u64 + 1);
+            assert_eq!(checksum(&payload), naive_checksum(&payload), "len {len}");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_512_byte_payload_is_detected() {
+        let payload = noise(512, 7);
+        let clean = checksum(&payload);
+        for bit in 0..512 * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum(&flipped), clean, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn zero_extension_and_truncation_are_detected() {
+        // Payloads that differ only by trailing zero bytes pad to the same
+        // blocks; the folded length must still tell them apart.
+        for len in [0usize, 1, 31, 32, 33, 64, 100] {
+            let mut payload = noise(len, 3);
+            payload.extend_from_slice(&[0; 40]);
+            let sums: Vec<u32> = (0..=40).map(|z| checksum(&payload[..len + z])).collect();
+            for a in 0..sums.len() {
+                for b in a + 1..sums.len() {
+                    assert_ne!(sums[a], sums[b], "len {len}: +{a} vs +{b} zeros");
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,6 @@ use crate::config::ZeroOffloadConfig;
 use crate::engine::{EngineStats, StepOutcome};
 use crate::overlap::AsyncDpu;
 use crate::tier::{NvmeTier, TierKind, TieredAdam};
-use crate::wire::quantize_grads;
 
 /// Why a training step failed.
 ///
@@ -384,10 +383,6 @@ pub struct GradStream {
     /// Total elements streamed this window.
     pub(crate) streamed: usize,
     pub(crate) bucketer: GradBucketer,
-    /// fp16 cast scratch, reused across slices.
-    wire: Vec<F16>,
-    /// fp32 scale scratch feeding the batched narrowing codec, reused.
-    wire32: Vec<f32>,
     /// Timestamp of the first streamed slice (span start).
     pub(crate) start_us: Option<u64>,
     /// Mid-backward transfer fault session (lane `STREAM`): every pushed
@@ -422,8 +417,6 @@ impl GradStream {
             written: vec![0; buckets],
             streamed: 0,
             bucketer: GradBucketer::new(2),
-            wire: Vec::new(),
-            wire32: Vec::new(),
             start_us: None,
             faults: FaultSession::disabled(),
             poisoned: false,
@@ -509,15 +502,9 @@ impl BackwardHook for GradStream {
             }
         }
         let offset = self.ranges[bucket].start + self.written[bucket];
-        let quantized = quantize_grads(
-            grads,
-            self.denom,
-            self.scale,
-            &mut self.wire32,
-            &mut self.wire,
-        );
-        self.overflow |= quantized;
-        self.bucketer.push(offset as u64, &self.wire);
+        self.overflow |= self
+            .bucketer
+            .push_grads(offset as u64, grads, self.denom, self.scale);
         self.written[bucket] += grads.len();
         self.streamed += grads.len();
     }

@@ -31,6 +31,7 @@
 //! bit-identical to the DRAM-resident run, under fault injection included
 //! (`tier.read`/`tier.write` gates fire before any tile mutates).
 
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -42,13 +43,17 @@ use zo_tensor::pool::Pool;
 use zo_tensor::{cast_f32_to_f16, F16};
 use zo_trace::{names, Tracer};
 
-use crate::framing::{decode_frame, encode_frame, FrameError, FrameSpec};
+use crate::framing::{
+    decode_frame, decode_header, encode_frame, encode_header, FrameError, FrameSpec, HEADER_BYTES,
+};
 
 /// Tier partition-blob magic: "ZOtr".
 pub const TIER_MAGIC: u32 = 0x5A4F_7472;
 
-/// Current tier partition-blob format version.
-pub const TIER_VERSION: u32 = 1;
+/// Current tier partition-blob format version. Version 2 changed the
+/// frame checksum ([`crate::framing::checksum`]); a version-1 blob decodes
+/// to [`FrameError::BadVersion`].
+pub const TIER_VERSION: u32 = 2;
 
 /// The tier frame family (shared codec, tier identity).
 const TIER_FRAME: FrameSpec = FrameSpec {
@@ -107,6 +112,19 @@ impl core::fmt::Display for TierError {
 }
 
 impl std::error::Error for TierError {}
+
+impl TierError {
+    /// Maps an I/O failure on partition `part`'s backing file.
+    fn from_io(part: usize, err: std::io::Error) -> TierError {
+        if err.kind() == std::io::ErrorKind::NotFound {
+            TierError::Missing { part }
+        } else {
+            TierError::Io {
+                detail: err.to_string(),
+            }
+        }
+    }
+}
 
 /// A memory tier holding framed optimizer-state partitions.
 ///
@@ -236,47 +254,41 @@ impl MemoryTier for NvmeTier {
     }
 
     fn write_part(&self, part: usize, payload: &[u8]) -> Result<(), TierError> {
-        std::fs::write(self.part_path(part), encode_frame(TIER_FRAME, payload)).map_err(|e| {
-            TierError::Io {
-                detail: e.to_string(),
-            }
-        })
+        // Header and payload go out as two writes: framing the blob in a
+        // buffer of its own would copy the whole partition first.
+        let write = || -> std::io::Result<()> {
+            let mut file = std::fs::File::create(self.part_path(part))?;
+            file.write_all(&encode_header(TIER_FRAME, payload))?;
+            file.write_all(payload)
+        };
+        write().map_err(|e| TierError::from_io(part, e))
     }
 
     fn read_part(&self, part: usize, out: &mut Vec<u8>) -> Result<(), TierError> {
-        let blob = match std::fs::read(self.part_path(part)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(TierError::Missing { part })
-            }
-            Err(e) => {
-                return Err(TierError::Io {
-                    detail: e.to_string(),
-                })
-            }
-        };
-        let payload = decode_frame(TIER_FRAME, &blob)?;
-        out.clear();
-        out.extend_from_slice(payload);
+        let io = |e| TierError::from_io(part, e);
+        let mut file = std::fs::File::open(self.part_path(part)).map_err(io)?;
+        let on_disk = file.metadata().map_err(io)?.len();
+        // The header is validated, and its length checked against the
+        // file's, before the payload is read — straight into `out`.
+        let mut header = [0u8; HEADER_BYTES];
+        let have = on_disk.min(HEADER_BYTES as u64) as usize;
+        file.read_exact(&mut header[..have]).map_err(io)?;
+        let header = decode_header(TIER_FRAME, &header[..have])?;
+        let after_header = (on_disk - HEADER_BYTES as u64).min(header.payload_len as u64);
+        out.resize(after_header as usize, 0);
+        file.read_exact(out).map_err(io)?;
+        header.verify(out)?;
         Ok(())
     }
 
     fn tear_part(&self, part: usize) -> Result<(), TierError> {
-        let path = self.part_path(part);
-        let blob = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(TierError::Missing { part })
-            }
-            Err(e) => {
-                return Err(TierError::Io {
-                    detail: e.to_string(),
-                })
-            }
-        };
-        std::fs::write(&path, &blob[..blob.len() / 2]).map_err(|e| TierError::Io {
-            detail: e.to_string(),
-        })
+        let io = |e| TierError::from_io(part, e);
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(self.part_path(part))
+            .map_err(io)?;
+        let len = file.metadata().map_err(io)?.len();
+        file.set_len(len / 2).map_err(io)
     }
 }
 
@@ -338,11 +350,19 @@ impl TileSlot {
 /// `master ‖ m ‖ v`, little-endian — a lossless byte image, which is what
 /// makes the spilled trajectory bit-identical to the resident one.
 fn encode_payload(master: &[f32], m: &[f32], v: &[f32], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(PAYLOAD_BYTES_PER_ELEM * master.len());
-    for series in [master, m, v] {
-        for &x in series {
-            out.extend_from_slice(&x.to_le_bytes());
+    let len = master.len();
+    // No `clear` first: a slot's buffer already has this length from the
+    // previous tile, and every byte is overwritten below.
+    out.resize(PAYLOAD_BYTES_PER_ELEM * len, 0);
+    if len == 0 {
+        return;
+    }
+    for (series, image) in [master, m, v]
+        .into_iter()
+        .zip(out.chunks_exact_mut(4 * len))
+    {
+        for (dst, x) in image.chunks_exact_mut(4).zip(series) {
+            dst.copy_from_slice(&x.to_le_bytes());
         }
     }
 }
@@ -364,11 +384,15 @@ fn decode_payload(
             ),
         });
     }
-    for (series, at) in [(master, 0usize), (m, 1), (v, 2)] {
-        let base = at * 4 * len;
-        for (i, x) in series.iter_mut().enumerate().take(len) {
-            let b = base + 4 * i;
-            *x = f32::from_le_bytes(payload[b..b + 4].try_into().expect("4 bytes"));
+    if len == 0 {
+        return Ok(());
+    }
+    for (series, image) in [master, m, v]
+        .into_iter()
+        .zip(payload.chunks_exact(4 * len))
+    {
+        for (x, src) in series[..len].iter_mut().zip(image.chunks_exact(4)) {
+            *x = f32::from_le_bytes(src.try_into().expect("4 bytes"));
         }
     }
     Ok(())
@@ -699,6 +723,61 @@ mod tests {
                 tier.kind()
             );
         }
+    }
+
+    #[test]
+    fn version_1_blob_is_bad_version_not_corrupted() {
+        // A partition written by a build that still used the FNV-1a
+        // checksum carries version 1: refused by version, on both tiers,
+        // before the (incompatible) checksum is compared.
+        let v1 = encode_frame(
+            FrameSpec {
+                version: 1,
+                ..TIER_FRAME
+            },
+            b"twelve bytes",
+        );
+        let nvme = NvmeTier::new().expect("spill dir");
+        std::fs::write(nvme.part_path(0), &v1).unwrap();
+        let dram = DramTier::new();
+        *dram.parts.lock().unwrap() = vec![Some(v1)];
+        let tiers: [&dyn MemoryTier; 2] = [&nvme, &dram];
+        for tier in tiers {
+            let mut out = Vec::new();
+            assert_eq!(
+                tier.read_part(0, &mut out),
+                Err(TierError::Frame(FrameError::BadVersion { found: 1 })),
+                "{:?}",
+                tier.kind()
+            );
+        }
+    }
+
+    #[test]
+    fn nvme_read_bounds_the_payload_by_the_file_length() {
+        // A header promising far more than the file holds is a typed
+        // truncation, decided before any payload buffer is sized.
+        let tier = NvmeTier::new().expect("spill dir");
+        tier.write_part(0, &[7u8; 64]).unwrap();
+        let path = tier.part_path(0);
+        let mut blob = std::fs::read(&path).unwrap();
+        blob[8..16].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        std::fs::write(&path, &blob).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(
+            tier.read_part(0, &mut out),
+            Err(TierError::Frame(FrameError::Truncated {
+                have: 64,
+                need: 1 << 60
+            }))
+        );
+        // Trailing bytes past the framed length are ignored.
+        tier.write_part(1, b"payload").unwrap();
+        let mut blob = std::fs::read(tier.part_path(1)).unwrap();
+        blob.extend_from_slice(b"junk after the frame");
+        std::fs::write(tier.part_path(1), &blob).unwrap();
+        tier.read_part(1, &mut out).unwrap();
+        assert_eq!(out, b"payload");
     }
 
     #[test]

@@ -6,9 +6,20 @@
 //! (magic, sequence number, flat offset, element count, checksum) and a
 //! little-endian fp16 payload. Frames are the unit the gradient bucketer
 //! emits and the host-side consumer validates.
+//!
+//! Every gradient element is touched four times between backward and the
+//! optimizer: [`quantize_into`] scales, narrows and overflow-checks it
+//! straight into the open frame's payload, the bucketer checksums the
+//! payload once when the frame closes, [`decode_frame`] checksums it again
+//! on arrival, and [`GradFrame::widen_into`] widens and unscales it
+//! straight into the host gradient buffer. The two conversions work on
+//! 1024-element stack blocks, so their intermediate passes stay in L1 and
+//! nothing is allocated per call.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use zo_tensor::F16;
+
+use crate::framing::checksum;
 
 /// Frame magic: "ZOfl".
 pub const MAGIC: u32 = 0x5A4F_666C;
@@ -59,130 +70,202 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A decoded gradient frame.
+/// Elements converted per stack block by the fused quantize and widen.
+const BLOCK: usize = 1024;
+
+/// Decodes a little-endian fp16 payload value by value.
+fn f16_le(payload: &[u8]) -> impl Iterator<Item = F16> + '_ {
+    payload
+        .chunks_exact(2)
+        .map(|b| F16::from_bits(u16::from_le_bytes([b[0], b[1]])))
+}
+
+/// A validated gradient frame: header fields plus a zero-copy view of the
+/// little-endian fp16 payload inside the received buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradFrame {
     /// Monotone sequence number within a step.
     pub seq: u32,
     /// Flat offset of the first element in the parameter space.
     pub offset: u64,
-    /// The fp16 gradient values.
-    pub values: Vec<F16>,
+    payload: Bytes,
 }
 
-/// FNV-1a over the payload bytes.
-fn checksum(payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in payload {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+impl GradFrame {
+    /// Number of fp16 gradient values carried.
+    pub fn len(&self) -> usize {
+        self.payload.len() / 2
     }
-    h
+
+    /// Whether the frame carries no values.
+    pub fn is_empty(&self) -> bool {
+        self.payload.is_empty()
+    }
+
+    /// The fp16 gradient values, decoded one by one (inspection and tests;
+    /// the engine uses [`GradFrame::widen_into`]).
+    pub fn values(&self) -> impl Iterator<Item = F16> + '_ {
+        f16_le(&self.payload)
+    }
+
+    /// Widens the payload exactly into `dst` and, given `unscale`,
+    /// multiplies each block by it while the block is still in cache — the
+    /// same two operations per element, in the same order, as a whole-
+    /// buffer widen followed by a whole-buffer scale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst.len() != self.len()`.
+    pub fn widen_into(&self, dst: &mut [f32], unscale: Option<f32>) {
+        assert_eq!(dst.len(), self.len(), "widen length mismatch");
+        let mut half = [F16::ZERO; BLOCK];
+        for (bytes, out) in self.payload.chunks(2 * BLOCK).zip(dst.chunks_mut(BLOCK)) {
+            let half = &mut half[..out.len()];
+            for (h, v) in half.iter_mut().zip(f16_le(bytes)) {
+                *h = v;
+            }
+            F16::to_f32_slice(half, out);
+            if let Some(alpha) = unscale {
+                zo_tensor::ops::scale(out, alpha);
+            }
+        }
+    }
 }
 
-/// Elements serialized per batch when framing/unframing fp16 payloads.
-/// Copying through a fixed stack buffer amortizes the per-element
-/// capacity checks of `put_u16_le`/`get_u16_le`.
-const FRAME_BATCH: usize = 64;
+/// Writes a frame header into the first [`HEADER_BYTES`] of `frame`,
+/// checksumming the payload that follows it.
+pub(crate) fn seal_frame(frame: &mut [u8], seq: u32, offset: u64) {
+    let (header, payload) = frame.split_at_mut(HEADER_BYTES);
+    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4..8].copy_from_slice(&seq.to_le_bytes());
+    header[8..16].copy_from_slice(&offset.to_le_bytes());
+    header[16..20].copy_from_slice(&((payload.len() / 2) as u32).to_le_bytes());
+    header[20..24].copy_from_slice(&checksum(payload).to_le_bytes());
+}
+
+/// Appends `values` to `out` as little-endian fp16.
+pub(crate) fn extend_f16_le(out: &mut Vec<u8>, values: &[F16]) {
+    let at = out.len();
+    out.resize(at + 2 * values.len(), 0);
+    for (dst, v) in out[at..].chunks_exact_mut(2).zip(values) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
 
 /// Encodes one frame.
 pub fn encode_frame(seq: u32, offset: u64, values: &[F16]) -> Bytes {
-    let mut payload = BytesMut::with_capacity(values.len() * 2);
-    let mut staged = [0u8; 2 * FRAME_BATCH];
-    for chunk in values.chunks(FRAME_BATCH) {
-        for (dst, v) in staged.chunks_exact_mut(2).zip(chunk) {
-            dst.copy_from_slice(&v.to_bits().to_le_bytes());
-        }
-        payload.extend_from_slice(&staged[..2 * chunk.len()]);
-    }
-    let mut out = BytesMut::with_capacity(HEADER_BYTES + payload.len());
-    out.put_u32_le(MAGIC);
-    out.put_u32_le(seq);
-    out.put_u64_le(offset);
-    out.put_u32_le(values.len() as u32);
-    out.put_u32_le(checksum(&payload));
-    out.extend_from_slice(&payload);
-    out.freeze()
+    let mut frame = Vec::with_capacity(frame_bytes(values.len()));
+    frame.resize(HEADER_BYTES, 0);
+    extend_f16_le(&mut frame, values);
+    seal_frame(&mut frame, seq, offset);
+    Bytes::from(frame)
 }
 
-/// Decodes one frame, validating magic and checksum.
-pub fn decode_frame(mut buf: Bytes) -> Result<GradFrame, WireError> {
+/// Decodes one frame, validating magic and checksum. The returned frame
+/// shares `buf`'s storage.
+pub fn decode_frame(buf: Bytes) -> Result<GradFrame, WireError> {
     if buf.len() < HEADER_BYTES {
         return Err(WireError::Truncated {
             have: buf.len(),
             need: HEADER_BYTES,
         });
     }
-    let magic = buf.get_u32_le();
+    let word = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"));
+    let magic = word(0);
     if magic != MAGIC {
         return Err(WireError::BadMagic { found: magic });
     }
-    let seq = buf.get_u32_le();
-    let offset = buf.get_u64_le();
-    let count = buf.get_u32_le() as usize;
-    let expected = buf.get_u32_le();
-    if buf.len() < count * 2 {
+    let seq = word(4);
+    let offset = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
+    let payload_bytes = 2 * word(16) as usize;
+    let expected = word(20);
+    let have = buf.len() - HEADER_BYTES;
+    if have < payload_bytes {
         return Err(WireError::Truncated {
-            have: buf.len(),
-            need: count * 2,
+            have,
+            need: payload_bytes,
         });
     }
-    let payload = buf.copy_to_bytes(count * 2);
+    let payload = buf.slice(HEADER_BYTES..HEADER_BYTES + payload_bytes);
     let computed = checksum(&payload);
     if computed != expected {
         return Err(WireError::BadChecksum { expected, computed });
     }
-    let mut values = Vec::with_capacity(count);
-    let bytes: &[u8] = &payload;
-    values.extend(
-        bytes
-            .chunks_exact(2)
-            .map(|b| F16::from_bits(u16::from_le_bytes([b[0], b[1]]))),
-    );
     Ok(GradFrame {
         seq,
         offset,
-        values,
+        payload,
     })
 }
 
-/// Scales `grads` by `scale / denom` into `scratch` and narrows the whole
-/// batch to fp16 into `wire` with the slice codec ([`F16::from_f32_slice`]).
-/// Returns `true` if any narrowed value is non-finite (loss-scale overflow).
+/// The fused quantize of one block: `wire[i] = narrow(grads[i] / denom *
+/// scale)`, returning `true` if any narrowed value is non-finite
+/// (loss-scale overflow). `grads` holds at most [`BLOCK`] elements.
+fn quantize_block(grads: &[f32], denom: f32, scale: f32, wire: &mut [F16]) -> bool {
+    let mut scaled = [0.0f32; BLOCK];
+    let scaled = &mut scaled[..grads.len()];
+    for (s, &g) in scaled.iter_mut().zip(grads) {
+        *s = g / denom * scale;
+    }
+    F16::from_f32_slice(scaled, wire);
+    // Inf and NaN are exactly the values with every exponent bit set.
+    const EXP: u16 = 0x7C00;
+    wire.iter()
+        .fold(false, |any, w| any | (w.to_bits() & EXP == EXP))
+}
+
+/// Scales `grads` by `scale / denom`, narrows to fp16 and appends the
+/// little-endian bytes to `out` — one pass from the fp32 gradients to the
+/// frame payload. Returns the overflow flag.
 ///
-/// The scale loop is element-independent and the slice codec is bit-identical
-/// to the scalar [`F16::from_f32`] path, so callers that replace per-element
-/// quantize loops with this helper produce byte-identical wire traffic.
+/// The scale loop is element-independent and the slice codec
+/// ([`F16::from_f32_slice`]) is bit-identical to the scalar
+/// [`F16::from_f32`], so the bytes equal a per-element quantize loop's.
+pub fn quantize_into(grads: &[f32], denom: f32, scale: f32, out: &mut Vec<u8>) -> bool {
+    let mut half = [F16::ZERO; BLOCK];
+    let mut overflow = false;
+    for block in grads.chunks(BLOCK) {
+        let half = &mut half[..block.len()];
+        overflow |= quantize_block(block, denom, scale, half);
+        extend_f16_le(out, half);
+    }
+    overflow
+}
+
+/// [`quantize_into`] with fp16 values instead of bytes as the output:
+/// `wire` is resized to `grads.len()` and filled by the same block kernel.
+/// `_scratch` is unused; the parameter keeps the signature the benchmark
+/// probes call.
 pub fn quantize_grads(
     grads: &[f32],
     denom: f32,
     scale: f32,
-    scratch: &mut Vec<f32>,
+    _scratch: &mut Vec<f32>,
     wire: &mut Vec<F16>,
 ) -> bool {
-    scratch.clear();
-    scratch.extend(grads.iter().map(|&g| g / denom * scale));
     wire.resize(grads.len(), F16::ZERO);
-    F16::from_f32_slice(scratch, wire);
-    wire.iter().any(|w| !w.is_finite())
+    let mut overflow = false;
+    for (block, half) in grads.chunks(BLOCK).zip(wire.chunks_mut(BLOCK)) {
+        overflow |= quantize_block(block, denom, scale, half);
+    }
+    overflow
 }
 
-/// Quantizes `grads` as [`quantize_grads`] does, then immediately widens the
-/// fp16 values back and unscales in place (`g = widen(narrow(g * scale /
-/// denom)) / scale`) — the post-hoc H2D/D2H round trip the non-streaming
-/// engines apply to emulate gradients crossing the PCIe link. Returns the
-/// overflow flag.
-pub fn roundtrip_grads(
-    grads: &mut [f32],
-    denom: f32,
-    scale: f32,
-    scratch: &mut Vec<f32>,
-    wire: &mut Vec<F16>,
-) -> bool {
-    let overflow = quantize_grads(grads, denom, scale, scratch, wire);
-    F16::to_f32_slice(wire, grads);
-    for g in grads.iter_mut() {
-        *g /= scale;
+/// Quantizes `grads` as [`quantize_into`] does, then immediately widens
+/// the fp16 values back and unscales in place (`g = widen(narrow(g * scale
+/// / denom)) / scale`) — the post-hoc H2D/D2H round trip the sharded
+/// engines apply to emulate gradients crossing the PCIe link, block by
+/// block. Returns the overflow flag.
+pub fn roundtrip_grads(grads: &mut [f32], denom: f32, scale: f32) -> bool {
+    let mut half = [F16::ZERO; BLOCK];
+    let mut overflow = false;
+    for block in grads.chunks_mut(BLOCK) {
+        let half = &mut half[..block.len()];
+        overflow |= quantize_block(block, denom, scale, half);
+        F16::to_f32_slice(half, block);
+        for g in block.iter_mut() {
+            *g /= scale;
+        }
     }
     overflow
 }
@@ -198,7 +281,7 @@ pub fn decode_frame_traced(
     let wire = buf.len() as u64;
     let frame = decode_frame(buf)?;
     tracer.add(track, "rx_wire_bytes", wire);
-    tracer.add(track, "rx_payload_bytes", 2 * frame.values.len() as u64);
+    tracer.add(track, "rx_payload_bytes", 2 * frame.len() as u64);
     tracer.add(track, "rx_frames", 1);
     Ok(frame)
 }
@@ -243,14 +326,14 @@ mod tests {
         let decoded = decode_frame(frame).unwrap();
         assert_eq!(decoded.seq, 9);
         assert_eq!(decoded.offset, 1234);
-        assert_eq!(decoded.values, v);
+        assert_eq!(decoded.values().collect::<Vec<_>>(), v);
     }
 
     #[test]
     fn empty_payload_roundtrips() {
         let frame = encode_frame(0, 0, &[]);
         let decoded = decode_frame(frame).unwrap();
-        assert!(decoded.values.is_empty());
+        assert!(decoded.is_empty());
     }
 
     #[test]

@@ -39,10 +39,6 @@ struct ShardPlacement {
     full_grads: Vec<f32>,
     /// fp32 widening scratch for the all-gather, reused across steps.
     shard_f32: Vec<f32>,
-    /// fp16 scratch for the shard's PCIe round trip, reused.
-    wire16: Vec<F16>,
-    /// fp32 scale scratch feeding the batched narrowing codec, reused.
-    wire32: Vec<f32>,
 }
 
 impl ShardPlacement {
@@ -99,7 +95,7 @@ impl<M: Model> Placement<M> for ShardPlacement {
         with_retry(faults, Site::WireD2h, tracer, &self.track, || ())?;
 
         // The shard crosses PCIe as fp16, with loss scaling.
-        let overflow = roundtrip_grads(grads, denom, scale, &mut self.wire32, &mut self.wire16);
+        let overflow = roundtrip_grads(grads, denom, scale);
         stats.d2h_bytes += 2 * grads.len() as u64;
         tracer.add(&self.track, "d2h_bytes", 2 * grads.len() as u64);
         Ok(overflow)
@@ -188,8 +184,6 @@ impl<M: Model> Zero2OffloadEngine<M> {
             track,
             full_grads: vec![0.0f32; n],
             shard_f32: Vec::new(),
-            wire16: Vec::new(),
-            wire32: Vec::new(),
         };
         let pipe = StepPipeline {
             master,

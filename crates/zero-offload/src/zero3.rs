@@ -321,10 +321,6 @@ struct Zero3Placement {
     full_grads: Vec<f32>,
     /// fp32 widening of this rank's fp16 shard, rebuilt when p16 changes.
     shard_f32: Vec<f32>,
-    /// fp16 scratch for the shard's PCIe round trip, reused.
-    wire16: Vec<F16>,
-    /// fp32 scale scratch feeding the batched narrowing codec, reused.
-    wire32: Vec<f32>,
 }
 
 impl Zero3Placement {
@@ -451,7 +447,7 @@ impl<M: Model> Placement<M> for Zero3Placement {
             grads.copy_from_slice(&shard);
         }
         with_retry(faults, Site::WireD2h, tracer, &self.track, || ())?;
-        let overflow = roundtrip_grads(grads, denom, scale, &mut self.wire32, &mut self.wire16);
+        let overflow = roundtrip_grads(grads, denom, scale);
         stats.d2h_bytes += 2 * grads.len() as u64;
         tracer.add(&self.track, "d2h_bytes", 2 * grads.len() as u64);
         Ok(overflow)
@@ -555,8 +551,6 @@ impl<M: Model> Zero3OffloadEngine<M> {
             gauge,
             full_grads: vec![0.0f32; n],
             shard_f32: Vec::new(),
-            wire16: Vec::new(),
-            wire32: Vec::new(),
         };
         let pipe = StepPipeline {
             master,

@@ -6,9 +6,12 @@
 //! bucket budget (including a ragged final bucket).
 
 use proptest::prelude::*;
-use zero_offload::bucket::{scatter_frames, GradBucketer};
+use zero_offload::bucket::{scatter_frame, scatter_frames, GradBucketer};
 use zero_offload::framing;
-use zero_offload::wire::{decode_frame, encode_frame, frame_bytes, WireError, HEADER_BYTES};
+use zero_offload::wire::{
+    decode_frame, encode_frame, frame_bytes, quantize_grads, quantize_into, roundtrip_grads,
+    WireError, HEADER_BYTES,
+};
 use zero_offload::FrameError;
 use zero_offload::{run_zero3_ranks, Zero3Cache, Zero3Event, Zero3Plan, ZeroOffloadConfig};
 use zo_tensor::F16;
@@ -32,8 +35,8 @@ proptest! {
         let decoded = decode_frame(frame).unwrap();
         prop_assert_eq!(decoded.seq, seq);
         prop_assert_eq!(decoded.offset, offset);
-        prop_assert_eq!(decoded.values.len(), values.len());
-        for (a, b) in decoded.values.iter().zip(&values) {
+        prop_assert_eq!(decoded.len(), values.len());
+        for (a, b) in decoded.values().zip(&values) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -94,10 +97,10 @@ proptest! {
         // Capacity: every frame but the last is exactly full.
         prop_assert_eq!(frames.len(), n.div_ceil(cap_elems));
         for f in &frames[..frames.len() - 1] {
-            prop_assert_eq!(f.values.len(), cap_elems);
+            prop_assert_eq!(f.len(), cap_elems);
         }
         let last = &frames[frames.len() - 1];
-        prop_assert_eq!(last.values.len(), n - (frames.len() - 1) * cap_elems);
+        prop_assert_eq!(last.len(), n - (frames.len() - 1) * cap_elems);
 
         // Monotone seq, contiguous offsets.
         for (i, f) in frames.iter().enumerate() {
@@ -155,6 +158,133 @@ proptest! {
         for (i, v) in c.iter().enumerate() {
             prop_assert_eq!(dst[b_off as usize + i], v.to_f32());
         }
+    }
+}
+
+/// Gradient buffers of arbitrary f32 bit patterns (NaN payloads, ±inf,
+/// subnormals included) whose lengths cross the 8-lane codec chunk and the
+/// 1024-element conversion block.
+fn grad_bits() -> impl Strategy<Value = Vec<f32>> {
+    (
+        prop::sample::select(vec![0usize, 1, 7, 8, 9, 1023, 1024, 1025, 2048, 2600]),
+        0u64..=u64::MAX,
+        0u32..4,
+    )
+        .prop_map(|(len, seed, kind)| {
+            let mut x = seed | 1;
+            (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let bits = (x >> 32) as u32;
+                    match kind {
+                        // Raw bit patterns: every class, mostly huge or tiny.
+                        0 => f32::from_bits(bits),
+                        // Exponent forced to all-ones: inf and NaN payloads.
+                        1 => f32::from_bits(bits | 0x7F80_0000),
+                        // f32 subnormals and zeros.
+                        2 => f32::from_bits(bits & 0x807F_FFFF),
+                        // Gradient-sized finite values.
+                        _ => (bits as f32 / u32::MAX as f32 - 0.5) * 8.0,
+                    }
+                })
+                .collect()
+        })
+}
+
+fn f32_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    /// The fused quantize (scale, narrow, overflow scan and byte image in
+    /// one blockwise pass) equals the three separate whole-buffer passes,
+    /// bit for bit and flag for flag — as bytes in a frame payload and as
+    /// fp16 values.
+    #[test]
+    fn fused_quantize_equals_scale_then_narrow(
+        grads in grad_bits(),
+        denom in prop::sample::select(vec![1.0f32, 3.0, 4.0]),
+        scale in prop::sample::select(vec![1.0f32, 256.0, 65536.0, 3.0e38]),
+    ) {
+        let expect: Vec<F16> = grads.iter().map(|&g| F16::from_f32(g / denom * scale)).collect();
+        let expect_overflow = expect.iter().any(|h| !h.is_finite());
+        let expect_bytes: Vec<u8> =
+            expect.iter().flat_map(|h| h.to_bits().to_le_bytes()).collect();
+
+        let mut payload = vec![0xAA; 5]; // appended after whatever is staged
+        let overflow = quantize_into(&grads, denom, scale, &mut payload);
+        prop_assert_eq!(overflow, expect_overflow);
+        prop_assert_eq!(&payload[..5], &[0xAA; 5][..]);
+        prop_assert_eq!(&payload[5..], &expect_bytes[..]);
+
+        let (mut scratch, mut wire) = (Vec::new(), Vec::new());
+        prop_assert_eq!(quantize_grads(&grads, denom, scale, &mut scratch, &mut wire), expect_overflow);
+        let got: Vec<u16> = wire.iter().map(|h| h.to_bits()).collect();
+        let want: Vec<u16> = expect.iter().map(|h| h.to_bits()).collect();
+        prop_assert_eq!(got, want);
+
+        // The sharded engines' in-place round trip is the same kernel.
+        let mut rt = grads.clone();
+        prop_assert_eq!(roundtrip_grads(&mut rt, denom, scale), expect_overflow);
+        let want_rt: Vec<f32> = expect.iter().map(|h| h.to_f32() / scale).collect();
+        prop_assert_eq!(f32_bits(&rt), f32_bits(&want_rt));
+    }
+
+    /// The fused verify → widen·unscale equals decode + whole-buffer
+    /// scatter + whole-buffer scale on arbitrary fp16 bit patterns.
+    #[test]
+    fn fused_widen_unscale_equals_scatter_then_scale(
+        len in prop::sample::select(vec![0usize, 1, 7, 8, 9, 1023, 1024, 1025, 2600]),
+        seed in 0u32..=u32::MAX,
+        scale in prop::sample::select(vec![1.0f32, 256.0, 65536.0, 3.0]),
+    ) {
+        let mut x = seed | 1;
+        let values: Vec<F16> = (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                F16::from_bits((x >> 16) as u16)
+            })
+            .collect();
+        let frame = decode_frame(encode_frame(3, 11, &values)).unwrap();
+
+        let mut separate = vec![-1.0f32; 11 + len + 2];
+        scatter_frames(std::slice::from_ref(&frame), &mut separate);
+        zo_tensor::ops::scale(&mut separate[11..11 + len], 1.0 / scale);
+
+        let mut fused = vec![-1.0f32; 11 + len + 2];
+        prop_assert_eq!(scatter_frame(&frame, &mut fused, Some(1.0 / scale)), len);
+        prop_assert_eq!(f32_bits(&fused), f32_bits(&separate));
+    }
+
+    /// Quantizing straight into the bucketer produces the frames that
+    /// pushing pre-narrowed values does: same boundaries, same bytes.
+    #[test]
+    fn push_grads_frames_equal_push_of_narrowed_values(
+        grads in grad_bits(),
+        cap_elems in prop::sample::select(vec![1usize, 5, 1024, 1500, 100_000]),
+        split in 0usize..3000,
+    ) {
+        let (denom, scale) = (2.0f32, 1024.0f32);
+        let narrowed: Vec<F16> = grads.iter().map(|&g| F16::from_f32(g / denom * scale)).collect();
+        let split = split.min(grads.len());
+
+        let mut fused = GradBucketer::new(2 * cap_elems);
+        let mut overflow = fused.push_grads(40, &grads[..split], denom, scale);
+        overflow |= fused.push_grads(40 + split as u64, &grads[split..], denom, scale);
+        fused.flush();
+
+        let mut staged = GradBucketer::new(2 * cap_elems);
+        staged.push(40, &narrowed[..split]);
+        staged.push(40 + split as u64, &narrowed[split..]);
+        staged.flush();
+
+        prop_assert_eq!(overflow, narrowed.iter().any(|h| !h.is_finite()));
+        prop_assert_eq!(fused.take_frames(), staged.take_frames());
+        prop_assert_eq!(fused.wire_bytes(), staged.wire_bytes());
     }
 }
 

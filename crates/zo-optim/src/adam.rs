@@ -123,26 +123,33 @@ impl AdamState {
 
     /// Validates buffer lengths against this state.
     pub fn check(&self, params: &[f32], grads: &[f32]) -> Result<(), OptimError> {
-        if params.len() != grads.len() {
-            return Err(OptimError::LengthMismatch {
-                params: params.len(),
-                grads: grads.len(),
-            });
+        self.check_lens(params.len(), grads.len())
+    }
+
+    /// [`AdamState::check`] on the lengths alone (the gradients may be in
+    /// another element type).
+    pub(crate) fn check_lens(&self, params: usize, grads: usize) -> Result<(), OptimError> {
+        if params != grads {
+            return Err(OptimError::LengthMismatch { params, grads });
         }
-        if params.len() != self.m.len() {
+        if params != self.m.len() {
             return Err(OptimError::StateMismatch {
                 state: self.m.len(),
-                given: params.len(),
+                given: params,
             });
         }
         Ok(())
     }
 }
 
-/// The scalar reference update for one element, in FMA form.
+/// The scalar reference update for one element: the single definition of
+/// the recurrence.
 ///
 /// Both `CpuAdam` and the property tests use this exact sequence, so the
-/// optimized implementation can be compared bit-for-bit.
+/// optimized implementation can be compared bit-for-bit. Every step is a
+/// separate multiply and add: on the baseline x86-64 target (no FMA
+/// unit assumed) `f32::mul_add` lowers to a libm `fmaf` *call*, which
+/// also keeps the surrounding `sqrt` and `/` from vectorising.
 #[inline(always)]
 pub fn adam_element(
     hp: &AdamParams,
@@ -158,10 +165,10 @@ pub fn adam_element(
     } else {
         g
     };
-    *m = g.mul_add(1.0 - hp.beta1, hp.beta1 * *m);
-    *v = (g * g).mul_add(1.0 - hp.beta2, hp.beta2 * *v);
-    let d = v.sqrt().mul_add(bc2, hp.eps);
-    *p = (*m / d).mul_add(bc1, *p);
+    *m = g * (1.0 - hp.beta1) + hp.beta1 * *m;
+    *v = (g * g) * (1.0 - hp.beta2) + hp.beta2 * *v;
+    let d = v.sqrt() * bc2 + hp.eps;
+    *p += (*m / d) * bc1;
     if hp.decoupled_weight_decay && hp.weight_decay != 0.0 {
         // AdamW: decay applied outside the adaptive rescaling.
         *p -= hp.lr * hp.weight_decay * *p;

@@ -3,32 +3,41 @@
 //! The paper accelerates the CPU optimizer with three levels of parallelism
 //! plus a tiled copy-back:
 //!
-//! 1. **SIMD** — here expressed as fixed-width lanes written so the
-//!    autovectorizer emits vector FMA (the portable stable-Rust equivalent
-//!    of hand-written AVX512 intrinsics);
-//! 2. **Loop unrolling** — an explicit 8-wide unroll (`UNROLL`), the width
-//!    the paper's autotuning selected;
-//! 3. **Multithreading** — contiguous chunk parallelism submitted to the
+//! 1. **SIMD and unrolling** — the paper hand-writes AVX512 intrinsics and
+//!    autotunes the unroll width; here [`adam_range`] is one straight loop
+//!    of separate multiplies and adds over four zipped slices, which the
+//!    loop vectorizer turns into packed `mulps`/`addps`/`sqrtps`/`divps`
+//!    on the baseline x86-64 target and unrolls itself. (`f32::mul_add`
+//!    must stay out of it: without a guaranteed FMA unit it lowers to a
+//!    libm `fmaf` call per element, and the call blocks vectorization.)
+//! 2. **Multithreading** — contiguous chunk parallelism submitted to the
 //!    persistent shared worker pool ([`zo_tensor::pool`], the OMP analog).
 //!    Workers are spawned once per process, not per step or per tile, so
 //!    the per-tile dispatch cost is a queue push instead of a clone+spawn;
-//! 4. **Tiling** — the parameter buffer is processed in tiles and a
-//!    callback fires after each tile, so the engine can overlap the fp32→
-//!    fp16 cast + PCIe copy of tile *k* with the Adam math of tile *k+1*
-//!    (Algorithm 1 line 15).
+//! 3. **Tiling** — the parameter buffer is processed in tiles and a
+//!    callback fires after each tile, so the engine can overlap the PCIe
+//!    copy of tile *k* with the Adam math of tile *k+1* (Algorithm 1
+//!    line 15);
+//! 4. **One trip through memory** — inside a tile the update walks
+//!    [`BLOCK`]-element blocks: fp16 gradients are widened into a stack
+//!    scratch, the block is updated, and the fresh parameters are narrowed
+//!    to fp16 while the block is still cache-resident, instead of a second
+//!    pass over the whole tile.
 //!
 //! All variants compute the exact recurrence of
-//! [`adam_element`](crate::adam::adam_element), so results are
-//! bit-identical to the scalar reference regardless of thread count or
-//! tile width.
+//! [`adam_element`](crate::adam::adam_element), and both fp16 codecs are
+//! element-independent, so results are bit-identical to the scalar
+//! reference regardless of thread count, tile width or block boundaries.
 
-use zo_tensor::{cast_f32_to_f16, F16};
+use zo_tensor::F16;
 
 use crate::adam::{adam_element, AdamParams, AdamState};
 use crate::error::OptimError;
 
-/// Unroll width of the inner loop (the paper's autotuned value).
-pub const UNROLL: usize = 8;
+/// Elements per cache-resident block of the fused update: the four fp32
+/// streams, the widened-gradient scratch and the fp16 output of one block
+/// total 22 KiB, inside L1.
+pub const BLOCK: usize = 1024;
 
 /// Configuration for [`CpuAdam`].
 #[derive(Debug, Clone, Copy)]
@@ -70,15 +79,13 @@ impl Default for CpuAdamConfig {
 pub struct CpuAdam {
     cfg: CpuAdamConfig,
     state: AdamState,
-    /// Reusable fp16→fp32 widening scratch for [`CpuAdam::step_fp16_grads`]
-    /// (allocated once, not per step).
-    g32_scratch: Vec<f32>,
 }
 
-/// The unrolled inner kernel over one contiguous range.
+/// The inner kernel over one contiguous range.
 ///
-/// Processes `UNROLL`-wide blocks so the autovectorizer can keep `UNROLL`
-/// independent FMA chains in flight, then handles the tail scalar-wise.
+/// `hp`, `bc1` and `bc2` are loop-invariant, so the compiler hoists
+/// `1 - beta` and unswitches the weight-decay mode once per call; what
+/// remains is a branch-free loop over four zipped slices that vectorizes.
 ///
 /// Public so that external tiled optimizers (the memory-tier streaming
 /// path in `zero-offload`) can run the *exact* recurrence [`CpuAdam`]
@@ -94,44 +101,86 @@ pub fn adam_range(
     v: &mut [f32],
 ) {
     let n = p.len();
-    let blocks = n - n % UNROLL;
-    let (p_main, p_tail) = p.split_at_mut(blocks);
-    let (g_main, g_tail) = g.split_at(blocks);
-    let (m_main, m_tail) = m.split_at_mut(blocks);
-    let (v_main, v_tail) = v.split_at_mut(blocks);
-    // Fixed-width UNROLL blocks over bounds-check-free iterators: the
-    // inner loop is fully unrolled and keeps UNROLL independent FMA/sqrt
-    // chains in flight, which the autovectorizer maps onto vector lanes.
-    let block_iter = p_main
-        .chunks_exact_mut(UNROLL)
-        .zip(g_main.chunks_exact(UNROLL))
-        .zip(m_main.chunks_exact_mut(UNROLL))
-        .zip(v_main.chunks_exact_mut(UNROLL));
-    for (((pb, gb), mb), vb) in block_iter {
-        for lane in 0..UNROLL {
-            adam_element(
-                hp,
-                bc1,
-                bc2,
-                &mut pb[lane],
-                gb[lane],
-                &mut mb[lane],
-                &mut vb[lane],
-            );
-        }
-    }
-    for (((pi, gi), mi), vi) in p_tail
-        .iter_mut()
-        .zip(g_tail)
-        .zip(m_tail.iter_mut())
-        .zip(v_tail.iter_mut())
-    {
+    assert!(
+        g.len() == n && m.len() == n && v.len() == n,
+        "adam_range slices must have equal lengths"
+    );
+    for (((pi, gi), mi), vi) in p.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
         adam_element(hp, bc1, bc2, pi, *gi, mi, vi);
     }
 }
 
-/// Splits four parallel slices into `threads` contiguous chunks and runs
-/// [`adam_range`] on each chunk concurrently via the shared worker pool.
+/// Where one update's gradients come from.
+#[derive(Clone, Copy)]
+enum Grads<'a> {
+    /// Host fp32 gradients.
+    F32(&'a [f32]),
+    /// fp16 gradients as they arrive over PCIe, widened per block.
+    F16(&'a [F16]),
+}
+
+impl<'a> Grads<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Grads::F32(g) => g.len(),
+            Grads::F16(g) => g.len(),
+        }
+    }
+
+    fn slice(self, range: core::ops::Range<usize>) -> Grads<'a> {
+        match self {
+            Grads::F32(g) => Grads::F32(&g[range]),
+            Grads::F16(g) => Grads::F16(&g[range]),
+        }
+    }
+}
+
+/// [`adam_range`] over `BLOCK`-element blocks with the fp16 edges fused
+/// in: each block's fp16 gradients are widened just before its update and
+/// its updated parameters narrowed into `p16` just after, while the block
+/// is in cache.
+#[allow(clippy::too_many_arguments)]
+fn adam_blocks(
+    hp: &AdamParams,
+    bc1: f32,
+    bc2: f32,
+    p: &mut [f32],
+    g: Grads<'_>,
+    m: &mut [f32],
+    v: &mut [f32],
+    mut p16: Option<&mut [F16]>,
+) {
+    let mut widened = [0.0f32; BLOCK];
+    let mut start = 0;
+    while start < p.len() {
+        let end = (start + BLOCK).min(p.len());
+        let g32 = match g.slice(start..end) {
+            Grads::F32(g) => g,
+            Grads::F16(g) => {
+                let w = &mut widened[..g.len()];
+                F16::to_f32_slice(g, w);
+                &*w
+            }
+        };
+        let pb = &mut p[start..end];
+        adam_range(
+            hp,
+            bc1,
+            bc2,
+            pb,
+            g32,
+            &mut m[start..end],
+            &mut v[start..end],
+        );
+        if let Some(p16) = p16.as_deref_mut() {
+            F16::from_f32_slice(pb, &mut p16[start..end]);
+        }
+        start = end;
+    }
+}
+
+/// Splits the parallel slices into `threads` contiguous chunks and runs
+/// [`adam_blocks`] on each chunk concurrently via the shared worker pool.
 ///
 /// The chunk boundaries depend only on `(n, threads)` and every element's
 /// recurrence is independent, so results are bit-identical to the serial
@@ -139,40 +188,42 @@ pub fn adam_range(
 /// here: the chunks are queued to [`zo_tensor::pool::global`]'s
 /// persistent workers (or run inline on a 1-thread pool).
 #[allow(clippy::too_many_arguments)]
-fn adam_range_parallel(
+fn adam_blocks_parallel(
     hp: &AdamParams,
     bc1: f32,
     bc2: f32,
     threads: usize,
     p: &mut [f32],
-    g: &[f32],
+    g: Grads<'_>,
     m: &mut [f32],
     v: &mut [f32],
+    p16: Option<&mut [F16]>,
 ) {
     let n = p.len();
-    if threads <= 1 || n < 4 * UNROLL * threads {
-        adam_range(hp, bc1, bc2, p, g, m, v);
+    if threads <= 1 || n < BLOCK * threads {
+        adam_blocks(hp, bc1, bc2, p, g, m, v, p16);
         return;
     }
     let ranges = zo_tensor::pool::partition(n, threads);
-    let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(ranges.len());
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
     let mut p_rest = p;
-    let mut g_rest = g;
     let mut m_rest = m;
     let mut v_rest = v;
+    let mut p16_rest = p16;
     for range in ranges {
         let take = range.len();
         let (p_head, p_tail) = p_rest.split_at_mut(take);
-        let (g_head, g_tail) = g_rest.split_at(take);
+        let g_head = g.slice(range);
         let (m_head, m_tail) = m_rest.split_at_mut(take);
         let (v_head, v_tail) = v_rest.split_at_mut(take);
+        let (p16_head, p16_tail) = p16_rest.map(|h| h.split_at_mut(take)).unzip();
         tasks.push(Box::new(move || {
-            adam_range(hp, bc1, bc2, p_head, g_head, m_head, v_head)
+            adam_blocks(hp, bc1, bc2, p_head, g_head, m_head, v_head, p16_head)
         }));
         p_rest = p_tail;
-        g_rest = g_tail;
         m_rest = m_tail;
         v_rest = v_tail;
+        p16_rest = p16_tail;
     }
     zo_tensor::pool::global().run(tasks);
 }
@@ -189,7 +240,6 @@ impl CpuAdam {
         CpuAdam {
             cfg,
             state: AdamState::new(n),
-            g32_scratch: Vec::new(),
         }
     }
 
@@ -235,7 +285,7 @@ impl CpuAdam {
 
     /// One Adam step that also maintains an fp16 mirror of the parameters.
     ///
-    /// After each tile's update, the tile is cast to fp16 into `p16` — the
+    /// Each block is cast to fp16 into `p16` right after its update — the
     /// software analog of Algorithm 1's `Copy_to_GPU` on line 15.
     pub fn step_mixed(
         &mut self,
@@ -243,44 +293,20 @@ impl CpuAdam {
         grads: &[f32],
         p16: &mut [F16],
     ) -> Result<(), OptimError> {
-        if p16.len() != params.len() {
-            return Err(OptimError::OutputMismatch {
-                expected: params.len(),
-                actual: p16.len(),
-            });
-        }
-        // `p16` is disjoint from `params`, so the cast can be expressed as
-        // an on-tile callback over the freshly updated fp32 values.
-        self.step_with_tiles(params, grads, |offset, tile| {
-            cast_f32_to_f16(tile, &mut p16[offset..offset + tile.len()]);
-        })
+        self.step_tiles(params, Grads::F32(grads), Some(p16), |_, _| {})
     }
 
     /// One Adam step taking fp16 gradients (as they arrive over PCIe).
     ///
-    /// Gradients are widened tile-by-tile; parameters are mirrored to fp16
-    /// exactly as in [`CpuAdam::step_mixed`].
+    /// Gradients are widened block-by-block; parameters are mirrored to
+    /// fp16 exactly as in [`CpuAdam::step_mixed`].
     pub fn step_fp16_grads(
         &mut self,
         params: &mut [f32],
         grads: &[F16],
         p16: &mut [F16],
     ) -> Result<(), OptimError> {
-        if grads.len() != params.len() {
-            return Err(OptimError::LengthMismatch {
-                params: params.len(),
-                grads: grads.len(),
-            });
-        }
-        // The widening buffer lives on the optimizer: `mem::take` it for
-        // the duration of the step (it cannot stay borrowed across the
-        // `&mut self` call) and put it back after, capacity intact.
-        let mut g32 = std::mem::take(&mut self.g32_scratch);
-        g32.resize(grads.len(), 0.0);
-        zo_tensor::cast_f16_to_f32(grads, &mut g32);
-        let result = self.step_mixed(params, &g32, p16);
-        self.g32_scratch = g32;
-        result
+        self.step_tiles(params, Grads::F16(grads), Some(p16), |_, _| {})
     }
 
     /// One Adam step with a per-tile callback for copy-back overlap.
@@ -292,25 +318,45 @@ impl CpuAdam {
         &mut self,
         params: &mut [f32],
         grads: &[f32],
+        on_tile: impl FnMut(usize, &[f32]),
+    ) -> Result<(), OptimError> {
+        self.step_tiles(params, Grads::F32(grads), None, on_tile)
+    }
+
+    /// The tile loop behind every public step.
+    fn step_tiles(
+        &mut self,
+        params: &mut [f32],
+        grads: Grads<'_>,
+        mut p16: Option<&mut [F16]>,
         mut on_tile: impl FnMut(usize, &[f32]),
     ) -> Result<(), OptimError> {
-        self.state.check(params, grads)?;
+        let n = params.len();
+        self.state.check_lens(n, grads.len())?;
+        if let Some(p16) = &p16 {
+            if p16.len() != n {
+                return Err(OptimError::OutputMismatch {
+                    expected: n,
+                    actual: p16.len(),
+                });
+            }
+        }
         self.state.step += 1;
         let (bc1, bc2) = self.cfg.hp.bias_corrections(self.state.step);
         let tile = self.cfg.tile_width;
-        let n = params.len();
         let mut offset = 0;
         while offset < n {
             let end = (offset + tile).min(n);
-            adam_range_parallel(
+            adam_blocks_parallel(
                 &self.cfg.hp,
                 bc1,
                 bc2,
                 self.cfg.num_threads,
                 &mut params[offset..end],
-                &grads[offset..end],
+                grads.slice(offset..end),
                 &mut self.state.m[offset..end],
                 &mut self.state.v[offset..end],
+                p16.as_deref_mut().map(|h| &mut h[offset..end]),
             );
             on_tile(offset, &params[offset..end]);
             offset = end;
@@ -424,21 +470,36 @@ mod tests {
     }
 
     #[test]
-    fn fp16_grad_scratch_is_reused_across_steps() {
-        let n = 256;
-        let mut opt = CpuAdam::new(CpuAdamConfig::default(), n);
-        let mut p = vec![1.0f32; n];
-        let g16 = vec![F16::from_f32(0.01); n];
-        let mut p16 = vec![F16::ZERO; n];
-        opt.step_fp16_grads(&mut p, &g16, &mut p16).unwrap();
-        let ptr = opt.g32_scratch.as_ptr();
-        let cap = opt.g32_scratch.capacity();
-        for _ in 0..3 {
-            opt.step_fp16_grads(&mut p, &g16, &mut p16).unwrap();
+    fn fused_fp16_edges_match_separate_passes_across_block_boundaries() {
+        // Lengths around the block and thread-partition boundaries: the
+        // per-block widen/narrow must equal whole-buffer casts bit for bit.
+        for &n in &[1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+            for &threads in &[1usize, 3] {
+                let cfg = CpuAdamConfig {
+                    num_threads: threads,
+                    tile_width: 2 * BLOCK + 5,
+                    ..CpuAdamConfig::default()
+                };
+                let g16: Vec<F16> = seeded(n, 0.5, 9).into_iter().map(F16::from_f32).collect();
+                let g32: Vec<f32> = g16.iter().map(|h| h.to_f32()).collect();
+                let mut fused = CpuAdam::new(cfg, n);
+                let mut plain = CpuAdam::new(cfg, n);
+                let mut p_fused = seeded(n, 2.0, 5);
+                let mut p_plain = p_fused.clone();
+                let mut p16 = vec![F16::ZERO; n];
+                for _ in 0..3 {
+                    fused.step_fp16_grads(&mut p_fused, &g16, &mut p16).unwrap();
+                    plain.step(&mut p_plain, &g32).unwrap();
+                }
+                assert_eq!(p_fused, p_plain, "n={n} threads={threads}");
+                let expect: Vec<u16> = p_plain
+                    .iter()
+                    .map(|&x| F16::from_f32(x).to_bits())
+                    .collect();
+                let got: Vec<u16> = p16.iter().map(|h| h.to_bits()).collect();
+                assert_eq!(got, expect, "n={n} threads={threads}");
+            }
         }
-        // Same allocation every step: no per-step `vec!` churn.
-        assert_eq!(opt.g32_scratch.as_ptr(), ptr);
-        assert_eq!(opt.g32_scratch.capacity(), cap);
     }
 
     #[test]

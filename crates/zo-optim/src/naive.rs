@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn matches_reference_within_rounding() {
-        // The op-by-op ordering differs from the fused FMA form, so demand
+        // The op-by-op ordering differs from the fused single pass, so demand
         // agreement only to a few ulps, over several steps.
         let hp = AdamParams {
             lr: 0.01,

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use zo_optim::{
-    adam_reference_step, AdamParams, AdamState, CpuAdam, CpuAdamConfig, DelayedUpdate, DpuAction,
-    NaiveAdam,
+    adam_element, adam_reference_step, AdamParams, AdamState, CpuAdam, CpuAdamConfig,
+    DelayedUpdate, DpuAction, NaiveAdam,
 };
 
 fn grads_strategy(n: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -35,13 +35,13 @@ proptest! {
 
     /// The pool-parallel Adam path is bit-identical to single-threaded for
     /// a problem large enough that every thread count in {1,2,3,7} actually
-    /// partitions (n >= 4·UNROLL·threads engages the parallel path).
+    /// partitions (n >= BLOCK·threads engages the parallel path).
     #[test]
     fn parallel_adam_bit_identical_to_serial(
         seed in 0u64..500,
         steps in 1usize..4,
     ) {
-        let n = 4 * zo_optim::UNROLL * 7 + 13; // past the widest threshold
+        let n = zo_optim::BLOCK * 7 + 13; // past the widest threshold
         let hp = AdamParams::default();
         let grads: Vec<Vec<f32>> = (0..steps)
             .map(|s| {
@@ -67,6 +67,78 @@ proptest! {
         let serial = run(1);
         for threads in [2usize, 3, 7] {
             prop_assert_eq!(&run(threads), &serial, "threads={}", threads);
+        }
+    }
+
+    /// `adam_element` (fp32, separate multiplies and adds) tracks the same
+    /// recurrence evaluated in f64 from the same inputs, to within a few
+    /// fp32 roundings of each result's summed term magnitudes — for any
+    /// hyper-parameters, either weight-decay mode and steps 1…10⁴.
+    #[test]
+    fn adam_element_tracks_f64_reference(
+        lr in 1e-5f32..0.1,
+        // From 0.5 up, `1 - beta` is exact in fp32 (Sterbenz), so the f64
+        // reference sees the very coefficients the fp32 kernel uses.
+        beta1 in 0.5f32..0.99,
+        beta2 in 0.9f32..0.9999,
+        eps in 1e-10f32..1e-6,
+        weight_decay in prop::sample::select(vec![0.0f32, 1e-4, 0.01, 0.1]),
+        decoupled in prop::sample::select(vec![false, true]),
+        t in 1u64..=10_000,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let hp = AdamParams {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            weight_decay,
+            decoupled_weight_decay: decoupled,
+        };
+        let (bc1, bc2) = hp.bias_corrections(t);
+        let mut x = seed | 1;
+        let mut unit = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let tol = 8.0 * f32::EPSILON as f64;
+        for _ in 0..64 {
+            let (p0, g0) = (unit() * 4.0 - 2.0, unit() * 2.0 - 1.0);
+            let (m0, v0) = (unit() * 2.0 - 1.0, unit() * unit());
+            let (mut p, mut m, mut v) = (p0, m0, v0);
+            adam_element(&hp, bc1, bc2, &mut p, g0, &mut m, &mut v);
+
+            let (b1, b2) = (beta1 as f64, beta2 as f64);
+            let wd = weight_decay as f64;
+            let (p0, m0, v0) = (p0 as f64, m0 as f64, v0 as f64);
+            let mut g = g0 as f64;
+            let mut g_mag = g.abs();
+            if wd != 0.0 && !decoupled {
+                g += wd * p0;
+                g_mag += (wd * p0).abs();
+            }
+            let m_ref = g * (1.0 - b1) + b1 * m0;
+            let m_mag = g_mag * (1.0 - b1) + (b1 * m0).abs();
+            let v_ref = g * g * (1.0 - b2) + b2 * v0;
+            let v_mag = g_mag * g_mag * (1.0 - b2) + b2 * v0;
+            let d = v_ref.sqrt() * bc2 as f64 + eps as f64;
+            let mut p_ref = p0 + bc1 as f64 * (m_ref / d);
+            // `d` inherits v's relative error, which exceeds a rounding
+            // only where coupled decay cancels the gradient.
+            let v_cancel = if v_ref > 0.0 { v_mag / v_ref } else { 1.0 };
+            let mut p_mag = p0.abs() + (bc1 as f64).abs() * m_mag / d * (1.0 + v_cancel);
+            if decoupled && wd != 0.0 {
+                p_ref -= lr as f64 * wd * p_ref;
+                p_mag *= 1.0 + lr as f64 * wd;
+            }
+            prop_assert!((m as f64 - m_ref).abs() <= tol * m_mag, "m {m} vs {m_ref}");
+            prop_assert!((v as f64 - v_ref).abs() <= tol * v_mag, "v {v} vs {v_ref}");
+            prop_assert!(
+                (p as f64 - p_ref).abs() <= tol * p_mag,
+                "p {p} vs {p_ref} (t={t})"
+            );
         }
     }
 

@@ -54,11 +54,12 @@ pub fn scale(dst: &mut [f32], alpha: f32) {
     }
 }
 
-/// `dst += alpha * src` (the BLAS `axpy`).
+/// `dst += alpha * src` (the BLAS `axpy`), as a separate multiply and add
+/// so the loop vectorizes on targets without a guaranteed FMA unit.
 pub fn axpy(alpha: f32, src: &[f32], dst: &mut [f32]) -> Result<(), TensorError> {
     check_len("axpy", dst.len(), src.len())?;
     for (d, s) in dst.iter_mut().zip(src) {
-        *d = s.mul_add(alpha, *d);
+        *d += alpha * *s;
     }
     Ok(())
 }

@@ -742,15 +742,23 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_share_epoch() {
+        // The two spans are held open across a handshake, so they overlap
+        // in real time whatever the scheduler does; the 1 ms inside both
+        // keeps the overlap above the clock's microsecond resolution.
         let t = Tracer::new();
         let t2 = t.clone();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let h = std::thread::spawn(move || {
             let _g = t2.span("worker", "job");
-            std::thread::sleep(Duration::from_millis(1));
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
         });
         {
             let _g = t.span("main", "wait");
-            std::thread::sleep(Duration::from_millis(2));
+            started_rx.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+            release_tx.send(()).unwrap();
         }
         h.join().unwrap();
         let spans = t.spans();

@@ -26,12 +26,39 @@ run_leg() {
     LEG_TIMES+=("$(printf '%5ds  %s' "$((SECONDS - t0))" "$name")")
 }
 
+# Every test binary runs its tests on four threads, whatever the
+# runner's core count: a test that races a sibling through process-global
+# state (the environment, a shared file) must fail here, not only on the
+# first multi-core host it meets.
+TEST_THREADS=(-- --test-threads=4)
+
 # ---------------------------------------------------------------- legs
+
+# `f32::mul_add` outside test code: on the baseline x86-64 target it
+# lowers to a libm `fmaf` call per element and blocks vectorization (it
+# cost GEMM ~40x and CpuAdam ~5x before it was found, twice). Comment
+# lines and everything from a file's `#[cfg(test)]` on are exempt.
+lint_no_mul_add() {
+    local hits
+    hits=$(awk '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && $0 !~ /^[[:space:]]*\/\// && /mul_add\(/ {
+            printf "%s:%d: %s\n", FILENAME, FNR, $0
+        }
+    ' crates/*/src/*.rs crates/*/src/bin/*.rs)
+    if [ -n "$hits" ]; then
+        echo "FAIL: mul_add( in non-test code (write a * b + c):" >&2
+        echo "$hits" >&2
+        return 1
+    fi
+}
 
 leg_lint() {
     cargo fmt --all -- --check
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+    lint_no_mul_add
 }
 
 leg_build_release() {
@@ -41,41 +68,42 @@ leg_build_release() {
 
 leg_test_debug() {
     echo "   ZO_THREADS=1"
-    ZO_THREADS=1 cargo test -q
+    ZO_THREADS=1 cargo test -q "${TEST_THREADS[@]}"
     echo "   ZO_THREADS=4"
-    ZO_THREADS=4 cargo test -q
+    ZO_THREADS=4 cargo test -q "${TEST_THREADS[@]}"
 }
 
 leg_test_release() {
-    cargo test --release -q
+    cargo test --release -q "${TEST_THREADS[@]}"
 }
 
 leg_fault_harness() {
-    cargo test -q -p zo-fault
+    cargo test -q -p zo-fault "${TEST_THREADS[@]}"
     for faults in off transient-heavy; do
         echo "   ZO_FAULTS=$faults"
-        ZO_FAULTS=$faults cargo test -q --release --test fault_matrix
+        ZO_FAULTS=$faults cargo test -q --release --test fault_matrix "${TEST_THREADS[@]}"
     done
 }
 
 leg_zero3_harness() {
     for faults in off transient-heavy; do
         echo "   ZO_FAULTS=$faults"
-        ZO_FAULTS=$faults cargo test -q --release --test zero3_equivalence --test zero3_traffic
+        ZO_FAULTS=$faults cargo test -q --release --test zero3_equivalence --test zero3_traffic \
+            "${TEST_THREADS[@]}"
     done
 }
 
 leg_tier_harness() {
     for faults in off transient-heavy; do
         echo "   ZO_FAULTS=$faults"
-        ZO_FAULTS=$faults cargo test -q --release --test tier_offload
+        ZO_FAULTS=$faults cargo test -q --release --test tier_offload "${TEST_THREADS[@]}"
     done
 }
 
 leg_multi_job_harness() {
     for faults in off transient-heavy; do
         echo "   ZO_FAULTS=$faults"
-        ZO_FAULTS=$faults cargo test -q --release --test multi_job
+        ZO_FAULTS=$faults cargo test -q --release --test multi_job "${TEST_THREADS[@]}"
     done
 }
 

@@ -6,6 +6,7 @@
 //! enough to compare kernels locally without the real statistics engine.
 
 use std::fmt;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Top-level benchmark driver.
@@ -14,14 +15,23 @@ pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
+    quick: bool,
+    json_sink: Option<PathBuf>,
 }
 
 impl Default for Criterion {
+    /// The environment only supplies defaults: `CRITERION_QUICK=1` turns
+    /// on [`Criterion::quick`], `CRITERION_JSON=path` sets
+    /// [`Criterion::json_sink`].
     fn default() -> Self {
         Criterion {
             sample_size: 10,
             measurement_time: Duration::from_millis(500),
             warm_up_time: Duration::from_millis(100),
+            quick: std::env::var("CRITERION_QUICK").is_ok_and(|v| !v.is_empty() && v != "0"),
+            json_sink: std::env::var_os("CRITERION_JSON")
+                .filter(|p| !p.is_empty())
+                .map(PathBuf::from),
         }
     }
 }
@@ -45,6 +55,23 @@ impl Criterion {
         self
     }
 
+    /// Clamps every benchmark to a few-millisecond sweep, regardless of
+    /// the budgets configured above. CI uses it to emit the persisted
+    /// bench artifact without paying full measurement budgets.
+    pub fn quick(mut self, on: bool) -> Self {
+        self.quick = on;
+        self
+    }
+
+    /// Appends one NDJSON record per finished bench to `path`;
+    /// `criterion_report` aggregates the lines into the validated
+    /// `BENCH_criterion.json` artifact. Append (not truncate) is
+    /// deliberate: one sweep spans several `cargo bench` processes.
+    pub fn json_sink(mut self, path: Option<PathBuf>) -> Self {
+        self.json_sink = path;
+        self
+    }
+
     /// Starts a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -60,7 +87,7 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let stats = run_bench(self, &mut f);
-        report(&id.to_string(), &stats, None);
+        report(self, &id.to_string(), &stats, None);
         self
     }
 }
@@ -93,7 +120,12 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let stats = run_bench(self.criterion, &mut |b| f(b, input));
-        report(&format!("{}/{}", self.name, id), &stats, self.throughput);
+        report(
+            self.criterion,
+            &format!("{}/{}", self.name, id),
+            &stats,
+            self.throughput,
+        );
         self
     }
 
@@ -103,7 +135,12 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let stats = run_bench(self.criterion, &mut f);
-        report(&format!("{}/{}", self.name, id), &stats, self.throughput);
+        report(
+            self.criterion,
+            &format!("{}/{}", self.name, id),
+            &stats,
+            self.throughput,
+        );
         self
     }
 
@@ -166,24 +203,13 @@ struct Stats {
     mean: Duration,
 }
 
-/// `CRITERION_QUICK=1` clamps every benchmark to a few-millisecond
-/// sweep, regardless of per-bench configuration. CI uses it to emit the
-/// persisted bench artifact without paying full measurement budgets.
-fn quick_mode() -> bool {
-    std::env::var("CRITERION_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 fn run_bench(criterion: &Criterion, f: &mut dyn FnMut(&mut Bencher)) -> Stats {
-    let criterion = if quick_mode() {
-        Criterion {
-            sample_size: criterion.sample_size.min(2),
-            measurement_time: criterion.measurement_time.min(Duration::from_millis(30)),
-            warm_up_time: criterion.warm_up_time.min(Duration::from_millis(5)),
-        }
-    } else {
-        criterion.clone()
-    };
-    let criterion = &criterion;
+    let mut criterion = criterion.clone();
+    if criterion.quick {
+        criterion.sample_size = criterion.sample_size.min(2);
+        criterion.measurement_time = criterion.measurement_time.min(Duration::from_millis(30));
+        criterion.warm_up_time = criterion.warm_up_time.min(Duration::from_millis(5));
+    }
     // Warm-up: run single iterations until the warm-up budget elapses,
     // and use the observed cost to pick a per-sample iteration count.
     let warm_start = Instant::now();
@@ -224,7 +250,7 @@ fn run_bench(criterion: &Criterion, f: &mut dyn FnMut(&mut Bencher)) -> Stats {
     }
 }
 
-fn report(name: &str, stats: &Stats, throughput: Option<Throughput>) {
+fn report(criterion: &Criterion, name: &str, stats: &Stats, throughput: Option<Throughput>) {
     let mean_ns = stats.mean.as_nanos() as f64;
     let rate = match throughput {
         Some(Throughput::Elements(n)) if mean_ns > 0.0 => {
@@ -239,20 +265,17 @@ fn report(name: &str, stats: &Stats, throughput: Option<Throughput>) {
         _ => String::new(),
     };
     println!("{name:<48} {:>12.3} us/iter{rate}", mean_ns / 1e3);
-    sink_json_line(name, mean_ns, throughput);
+    if let Some(path) = &criterion.json_sink {
+        sink_json_line(path, name, mean_ns, throughput);
+    }
 }
 
-/// `CRITERION_JSON=path` appends one NDJSON record per finished bench to
-/// `path`; `criterion_report` aggregates the lines into the validated
-/// `BENCH_criterion.json` artifact. Append (not truncate) is deliberate:
-/// one sweep spans several `cargo bench` processes.
-fn sink_json_line(name: &str, mean_ns: f64, throughput: Option<Throughput>) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
+fn sink_json_line(
+    path: &std::path::Path,
+    name: &str,
+    mean_ns: f64,
+    throughput: Option<Throughput>,
+) {
     let (tp_kind, tp_per_iter) = match throughput {
         Some(Throughput::Elements(n)) => ("\"elements\"", n),
         Some(Throughput::Bytes(n)) => ("\"bytes\"", n),
@@ -266,10 +289,10 @@ fn sink_json_line(name: &str, mean_ns: f64, throughput: Option<Throughput>) {
     let written = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(&path)
+        .open(path)
         .and_then(|mut f| f.write_all(line.as_bytes()));
     if let Err(e) = written {
-        eprintln!("criterion: failed appending to {path}: {e}");
+        eprintln!("criterion: failed appending to {}: {e}", path.display());
     }
 }
 
@@ -338,7 +361,8 @@ mod tests {
         let mut c = Criterion::default()
             .sample_size(2)
             .measurement_time(Duration::from_millis(10))
-            .warm_up_time(Duration::from_millis(1));
+            .warm_up_time(Duration::from_millis(1))
+            .json_sink(None);
         trivial(&mut c);
     }
 
@@ -357,20 +381,20 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("criterion_sink_{}.ndjson", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        std::env::set_var("CRITERION_QUICK", "1");
-        std::env::set_var("CRITERION_JSON", &path);
+        // Set on the value, not through the process environment: sibling
+        // tests run on parallel threads and would leak into the sink.
         let mut c = Criterion::default()
             .sample_size(50)
             .measurement_time(Duration::from_secs(10))
-            .warm_up_time(Duration::from_secs(5));
+            .warm_up_time(Duration::from_secs(5))
+            .quick(true)
+            .json_sink(Some(path.clone()));
         let t0 = Instant::now();
         trivial(&mut c);
         let elapsed = t0.elapsed();
-        std::env::remove_var("CRITERION_QUICK");
-        std::env::remove_var("CRITERION_JSON");
         assert!(
             elapsed < Duration::from_secs(5),
-            "CRITERION_QUICK must clamp a 10s budget: took {elapsed:?}"
+            "quick mode must clamp a 10s budget: took {elapsed:?}"
         );
         let text = std::fs::read_to_string(&path).expect("sink file");
         let _ = std::fs::remove_file(&path);

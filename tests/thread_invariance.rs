@@ -48,7 +48,7 @@ fn train(optimizer_threads: usize, steps: usize) -> Vec<f32> {
 
 /// The whole training trajectory is bit-identical across optimizer thread
 /// counts — the degree of freedom `ZO_THREADS` actually controls. A GPT
-/// this size has ~10k parameters, far past the `4·UNROLL·threads` serial
+/// this size has ~10k parameters, far past the `BLOCK·threads` serial
 /// fallback, so the partitioned path genuinely runs.
 #[test]
 fn trajectory_bit_identical_across_optimizer_threads() {
