@@ -606,6 +606,38 @@ mod tests {
     }
 
     #[test]
+    fn tier_io_failure_mid_step_surfaces_as_step_error_tier() {
+        use crate::tier::{NvmeTier, TierError, TieredAdam};
+        let mut engine = ZeroOffloadEngine::new(tiny_model(4), small_scale_cfg());
+        // Swap in a tiered updater over a spill directory the test knows.
+        let tier = NvmeTier::new().expect("spill dir");
+        let dir = tier.spill_dir().to_path_buf();
+        let pipe = engine.pipe_mut();
+        pipe.updater = Updater::Tiered(TieredAdam::new(
+            Box::new(tier),
+            small_scale_cfg().adam,
+            &pipe.master,
+            4096,
+            pipe.tracer.clone(),
+            "optimizer",
+        ));
+        run_steps(&mut engine, 2, 7);
+        std::fs::remove_file(dir.join("part-1.zot")).unwrap();
+        let mut data = zo_models::BigramLm::new(16, 0.05, 7);
+        let b = data.batch(4, 8);
+        let err = engine
+            .step(|m| m.train_step(&b.inputs, &b.targets, 4, 8, |_| {}))
+            .unwrap_err();
+        assert_eq!(err, StepError::Tier(TierError::Missing { part: 1 }));
+        assert_eq!(err.fault(), None);
+        assert_eq!(
+            engine.stats().steps_applied,
+            2,
+            "the failed step is not counted"
+        );
+    }
+
+    #[test]
     fn model_holds_fp16_rounded_params() {
         let mut engine = ZeroOffloadEngine::new(tiny_model(9), small_scale_cfg());
         run_steps(&mut engine, 3, 22);

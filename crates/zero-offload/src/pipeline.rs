@@ -35,14 +35,15 @@ use crate::bucket::GradBucketer;
 use crate::config::ZeroOffloadConfig;
 use crate::engine::{EngineStats, StepOutcome};
 use crate::overlap::AsyncDpu;
-use crate::tier::{NvmeTier, TierKind, TieredAdam};
+use crate::tier::{NvmeTier, TierError, TierKind, TieredAdam, TieredStepError};
 
 /// Why a training step failed.
 ///
 /// Every failure mode of the offload schedule is typed: the model's own
 /// backward error, a non-recoverable injected (or real) transport fault,
-/// and the overflow-storm degradation signal. Transient faults never show
-/// up here — they are retried inside the step and the step succeeds.
+/// a memory-tier I/O failure, and the overflow-storm degradation signal.
+/// Transient faults never show up here — they are retried inside the step
+/// and the step succeeds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StepError<E> {
     /// The model's forward/backward pass failed.
@@ -50,6 +51,12 @@ pub enum StepError<E> {
     /// A transfer, collective, optimizer or checkpoint site surfaced a
     /// fatal or retry-exhausted fault.
     Fault(FaultError),
+    /// The optimizer-state tier failed a partition read or write partway
+    /// through the tiled update (file gone, device full, frame invalid).
+    /// Tiles before the failure are already updated, so the tier state is
+    /// torn — restore from a checkpoint, exactly as after a fatal
+    /// `tier.write` fault.
+    Tier(TierError),
     /// The loss scaler skipped too many consecutive steps — the run is
     /// no longer making progress (see
     /// [`ZeroOffloadConfig::overflow_storm_limit`](crate::ZeroOffloadConfig::overflow_storm_limit)).
@@ -75,11 +82,21 @@ impl<E> From<FaultError> for StepError<E> {
     }
 }
 
+impl<E> From<TieredStepError> for StepError<E> {
+    fn from(e: TieredStepError) -> StepError<E> {
+        match e {
+            TieredStepError::Fault(f) => StepError::Fault(f),
+            TieredStepError::Tier(t) => StepError::Tier(t),
+        }
+    }
+}
+
 impl<E: core::fmt::Display> core::fmt::Display for StepError<E> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             StepError::Backward(e) => write!(f, "backward pass failed: {e}"),
             StepError::Fault(fault) => write!(f, "step fault: {fault}"),
+            StepError::Tier(e) => write!(f, "optimizer-state tier failed mid-step: {e}"),
             StepError::OverflowStorm { consecutive } => {
                 write!(f, "overflow storm: {consecutive} consecutive skipped steps")
             }
@@ -832,10 +849,10 @@ impl StepPipeline {
                 ),
             }
         };
-        if let Err(f) = update_result {
+        if let Err(e) = update_result {
             let closes = placement.closes_step();
             self.close_boundary(closes);
-            return Err(StepError::Fault(f));
+            return Err(e.into());
         }
         if let Err(f) = placement.publish(
             model,

@@ -9,7 +9,8 @@
 //! * [`MemoryTier`] — put/get of framed optimizer-state partitions. Every
 //!   blob reuses the checkpoint `magic | version | length | checksum`
 //!   framing (see [`crate::framing`]), so a torn tier-write decodes to a
-//!   typed [`TierError`], never a silently-wrong resume.
+//!   typed [`TierError`] — a truncation or a checksum mismatch, depending
+//!   on where the write died — never a silently-wrong resume.
 //! * [`DramTier`] — partitions held in host memory (the reference
 //!   backend, and the degenerate case of the stack).
 //! * [`NvmeTier`] — partitions spilled to files under `ZO_TIER_DIR` (or
@@ -21,8 +22,8 @@
 //!   partitions, and each optimizer step streams them through a bounded
 //!   DRAM scratch of three tile slots (read-ahead / compute / write-back)
 //!   double-buffered on a dedicated I/O worker pool, so tier reads and
-//!   writes overlap the Adam arithmetic (proven on wall-clock spans by
-//!   `tests/tier_offload.rs`).
+//!   writes overlap the Adam arithmetic (the schedule property is proven
+//!   by this module's rendezvous test, independent of I/O latency).
 //!
 //! Determinism: the tiled schedule runs the exact [`zo_optim::adam_range`]
 //! kernel over the same element recurrences in the same order as the
@@ -31,7 +32,7 @@
 //! bit-identical to the DRAM-resident run, under fault injection included
 //! (`tier.read`/`tier.write` gates fire before any tile mutates).
 
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -209,7 +210,11 @@ static NVME_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 ///
 /// Files live under a unique directory below `ZO_TIER_DIR` (falling back
 /// to the system temp dir) and are removed on drop. One file per
-/// partition, written whole; the framing makes a torn write detectable.
+/// partition, sized once and then overwritten in place — payload first,
+/// header last — so a steady-state step allocates no blocks and an
+/// interrupted write leaves a frame that fails its checksum. Nothing is
+/// synced: the directory is per-process scratch, and durability is the
+/// checkpoint's job.
 #[derive(Debug)]
 pub struct NvmeTier {
     dir: PathBuf,
@@ -254,12 +259,27 @@ impl MemoryTier for NvmeTier {
     }
 
     fn write_part(&self, part: usize, payload: &[u8]) -> Result<(), TierError> {
-        // Header and payload go out as two writes: framing the blob in a
-        // buffer of its own would copy the whole partition first.
+        // In place: the file is resized only when the framed length
+        // changes (first write, a different tile size, healing a tear),
+        // then the payload lands behind the header's slot and the header
+        // goes out last. Until it does, the old header sits over a partly
+        // new payload and the frame fails its checksum — a frame never
+        // verifies with foreign content. The handle is this call's own, so
+        // its cursor is not shared with a concurrent reader or writer.
         let write = || -> std::io::Result<()> {
-            let mut file = std::fs::File::create(self.part_path(part))?;
-            file.write_all(&encode_header(TIER_FRAME, payload))?;
-            file.write_all(payload)
+            let mut file = std::fs::OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(self.part_path(part))?;
+            let framed = (HEADER_BYTES + payload.len()) as u64;
+            if file.metadata()?.len() != framed {
+                file.set_len(framed)?;
+            }
+            file.seek(SeekFrom::Start(HEADER_BYTES as u64))?;
+            file.write_all(payload)?;
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(&encode_header(TIER_FRAME, payload))
         };
         write().map_err(|e| TierError::from_io(part, e))
     }
@@ -398,6 +418,31 @@ fn decode_payload(
     Ok(())
 }
 
+/// Why a tiered step stopped: an injected fault at one of its gates, or
+/// the tier's own I/O failing mid-stream.
+#[derive(Debug, PartialEq)]
+pub(crate) enum TieredStepError {
+    /// A `tier.read`/`tier.write` gate surfaced a fatal or retry-exhausted
+    /// fault (before any tile mutated).
+    Fault(FaultError),
+    /// A partition read or write really failed. Tiles before it are
+    /// already updated on the tier and in the mirrors: the state is torn
+    /// and must be restored from a checkpoint.
+    Tier(TierError),
+}
+
+impl From<FaultError> for TieredStepError {
+    fn from(f: FaultError) -> TieredStepError {
+        TieredStepError::Fault(f)
+    }
+}
+
+impl From<TierError> for TieredStepError {
+    fn from(e: TierError) -> TieredStepError {
+        TieredStepError::Tier(e)
+    }
+}
+
 /// The memory-centric tiled Adam update over a [`MemoryTier`].
 ///
 /// The full fp32 master/momentum/variance state lives on the tier as
@@ -449,8 +494,8 @@ impl TieredAdam {
             tracer,
             track: track.to_string(),
         };
-        let zeros = vec![0.0f32; n];
-        this.rewrite_partitions(master, &zeros, &zeros);
+        let zeros = vec![0.0f32; tile_elems];
+        this.rewrite_partitions(master, |r| (&zeros[..r.len()], &zeros[..r.len()]));
         this
     }
 
@@ -471,13 +516,19 @@ impl TieredAdam {
         SCRATCH_BYTES_PER_ELEM * self.tile_elems
     }
 
-    /// (Re)writes every partition from full-length state slices —
+    /// (Re)writes every partition from the full-length `master` and the
+    /// moments `moments_of` yields for each partition's element range —
     /// construction and checkpoint restore.
-    fn rewrite_partitions(&mut self, master: &[f32], m: &[f32], v: &[f32]) {
+    fn rewrite_partitions<'a>(
+        &mut self,
+        master: &[f32],
+        moments_of: impl Fn(core::ops::Range<usize>) -> (&'a [f32], &'a [f32]),
+    ) {
         let mut payload = Vec::new();
         for part in 0..self.parts {
             let r = self.range_of(part);
-            encode_payload(&master[r.clone()], &m[r.clone()], &v[r], &mut payload);
+            let (m, v) = moments_of(r.clone());
+            encode_payload(&master[r], m, v, &mut payload);
             self.tier
                 .write_part(part, &payload)
                 .expect("tier partition write");
@@ -492,32 +543,36 @@ impl TieredAdam {
         part: usize,
         len: usize,
         slot: &mut TileSlot,
-    ) {
+    ) -> Result<(), TierError> {
         let start = tracer.now_us();
-        tier.read_part(part, &mut slot.payload)
-            .expect("tier partition read");
+        tier.read_part(part, &mut slot.payload)?;
         decode_payload(
             &slot.payload,
             len,
             &mut slot.master[..len],
             &mut slot.m[..len],
             &mut slot.v[..len],
-        )
-        .expect("tier partition payload shape");
+        )?;
         let now = tracer.now_us();
         tracer.record_span("tier", names::TIER_READ, start, now.saturating_sub(start));
         tracer.add("tier", names::TIER_TRAFFIC_BYTES, slot.payload.len() as u64);
+        Ok(())
     }
 
     /// Writes `slot`'s encoded payload as partition `part`, recording the
     /// `tier.write` span and traffic.
-    fn write_from(tier: &dyn MemoryTier, tracer: &Tracer, part: usize, slot: &TileSlot) {
+    fn write_from(
+        tier: &dyn MemoryTier,
+        tracer: &Tracer,
+        part: usize,
+        slot: &TileSlot,
+    ) -> Result<(), TierError> {
         let start = tracer.now_us();
-        tier.write_part(part, &slot.payload)
-            .expect("tier partition write");
+        tier.write_part(part, &slot.payload)?;
         let now = tracer.now_us();
         tracer.record_span("tier", names::TIER_WRITE, start, now.saturating_sub(start));
         tracer.add("tier", names::TIER_TRAFFIC_BYTES, slot.payload.len() as u64);
+        Ok(())
     }
 
     /// One tiled Adam step.
@@ -528,17 +583,23 @@ impl TieredAdam {
     /// write fault additionally tears partition 0 on the tier — the torn
     /// frame a crashed write leaves — so recovery must detect it (typed
     /// [`FrameError::Truncated`]) and restore from a checkpoint.
+    ///
+    /// A partition read or write that really fails (file gone, device
+    /// full, frame invalid) stops the stream at that tile with
+    /// [`TieredStepError::Tier`], the first failure in tile order. Earlier
+    /// tiles are already updated, so the contract is the fatal
+    /// `tier.write` one: tier state is torn — restore from a checkpoint.
     pub(crate) fn step(
         &mut self,
         grads: &[f32],
         master: &mut [f32],
         p16: &mut [F16],
         faults: &mut FaultSession,
-    ) -> Result<(), FaultError> {
+    ) -> Result<(), TieredStepError> {
         with_retry(faults, Site::TierRead, &self.tracer, &self.track, || ())?;
         if let Err(f) = with_retry(faults, Site::TierWrite, &self.tracer, &self.track, || ()) {
             self.tier.tear_part(0).ok();
-            return Err(f);
+            return Err(f.into());
         }
         self.step += 1;
         let (bc1, bc2) = self.hp.bias_corrections(self.step);
@@ -553,7 +614,7 @@ impl TieredAdam {
         let [pending, current, ahead] = &mut self.slots[..] else {
             unreachable!("tiered Adam always holds {TILE_SLOTS} slots");
         };
-        Self::read_into(tier, tracer, 0, self.tile_elems.min(self.n), current);
+        Self::read_into(tier, tracer, 0, self.tile_elems.min(self.n), current)?;
 
         let mut slots = [pending, current, ahead];
         for k in 0..parts {
@@ -567,6 +628,9 @@ impl TieredAdam {
             } else {
                 None
             };
+            // Each I/O task leaves its result here for the caller to check
+            // once the round has joined.
+            let (mut written, mut read) = (Ok(()), Ok(()));
             {
                 let [pending, current, ahead] = &mut slots;
                 let len = range.len();
@@ -599,26 +663,30 @@ impl TieredAdam {
                 }));
                 if k > 0 {
                     let pending: &TileSlot = pending;
+                    let written = &mut written;
                     tasks.push(Box::new(move || {
-                        Self::write_from(tier, tracer, k - 1, pending);
+                        *written = Self::write_from(tier, tracer, k - 1, pending);
                     }));
                 }
                 if let Some(nr) = next_range {
                     let ahead: &mut TileSlot = ahead;
                     let nlen = nr.len();
+                    let read = &mut read;
                     tasks.push(Box::new(move || {
-                        Self::read_into(tier, tracer, k + 1, nlen, ahead);
+                        *read = Self::read_into(tier, tracer, k + 1, nlen, ahead);
                     }));
                 }
                 pool.run(tasks);
             }
+            written?;
+            read?;
             // Roles advance: computed tile becomes write-pending, the
             // read-ahead tile becomes current, the written-out slot is
             // free to read into.
             slots.rotate_left(1);
         }
         // The last computed tile (now in the pending role) writes back.
-        Self::write_from(tier, tracer, parts - 1, slots[0]);
+        Self::write_from(tier, tracer, parts - 1, slots[0])?;
         self.tracer
             .gauge_max(names::TIER_HWM_BYTES, self.scratch_bytes() as f64);
         Ok(())
@@ -653,14 +721,15 @@ impl TieredAdam {
     /// fatal `tier.write` left a torn partition behind).
     pub(crate) fn restore(&mut self, master: &[f32], state: &AdamState) {
         self.step = state.step;
-        let (m, v) = (state.m.clone(), state.v.clone());
-        self.rewrite_partitions(master, &m, &v);
+        self.rewrite_partitions(master, |r| (&state.m[r.clone()], &state.v[r]));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Condvar;
+    use std::time::{Duration, Instant};
 
     fn payload_of(len: usize, seed: f32) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let master: Vec<f32> = (0..len).map(|i| seed + i as f32).collect();
@@ -722,7 +791,74 @@ mod tests {
                 "{:?}: {err:?}",
                 tier.kind()
             );
+            // The next write of the partition heals the tear.
+            tier.write_part(0, &payload).unwrap();
+            tier.read_part(0, &mut out).unwrap();
+            assert_eq!(out, payload, "{:?}", tier.kind());
         }
+    }
+
+    /// Overwrites `bytes` at `offset` of partition 0's file, behind the
+    /// tier's back — one half of an interrupted in-place write.
+    fn patch_part_file(tier: &NvmeTier, offset: u64, bytes: &[u8]) {
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(tier.part_path(0))
+            .unwrap();
+        file.seek(SeekFrom::Start(offset)).unwrap();
+        file.write_all(bytes).unwrap();
+    }
+
+    #[test]
+    fn nvme_write_interrupted_in_either_window_is_corrupted() {
+        let (old, new) = ([0x11u8; 96], [0x22u8; 96]);
+        let corrupted = |tier: &NvmeTier| {
+            matches!(
+                tier.read_part(0, &mut Vec::new()),
+                Err(TierError::Frame(FrameError::Corrupted { .. }))
+            )
+        };
+        // The protocol's own window: new payload landed, header still old.
+        let tier = NvmeTier::new().expect("spill dir");
+        tier.write_part(0, &old).unwrap();
+        patch_part_file(&tier, HEADER_BYTES as u64, &new[..40]);
+        assert!(corrupted(&tier), "partly new payload under the old header");
+        patch_part_file(&tier, HEADER_BYTES as u64, &new);
+        assert!(corrupted(&tier), "new payload under the old header");
+        // Were the two writes ever reordered: new header, payload still old.
+        tier.write_part(0, &old).unwrap();
+        patch_part_file(&tier, 0, &encode_header(TIER_FRAME, &new));
+        assert!(corrupted(&tier), "new header over the old payload");
+        // Completing the write in either case yields the new frame.
+        patch_part_file(&tier, HEADER_BYTES as u64, &new);
+        let mut out = Vec::new();
+        tier.read_part(0, &mut out).unwrap();
+        assert_eq!(out, new);
+    }
+
+    #[test]
+    fn nvme_rewrite_keeps_one_file_sized_to_its_frame() {
+        let tier = NvmeTier::new().expect("spill dir");
+        let len_on_disk = || std::fs::metadata(tier.part_path(0)).unwrap().len();
+        let mut out = Vec::new();
+        // Shorter, longer and empty payloads: no trailing junk, exact
+        // round trip.
+        for len in [300usize, 40, 0, 1000, 300] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            tier.write_part(0, &payload).unwrap();
+            assert_eq!(len_on_disk(), (HEADER_BYTES + len) as u64, "len {len}");
+            tier.read_part(0, &mut out).unwrap();
+            assert_eq!(out, payload, "len {len}");
+        }
+        // The steady state: same-sized rewrites leave the one file as
+        // long as it was.
+        for round in 0..100u8 {
+            tier.write_part(0, &[round; 300]).unwrap();
+            assert_eq!(len_on_disk(), (HEADER_BYTES + 300) as u64);
+        }
+        tier.read_part(0, &mut out).unwrap();
+        assert_eq!(out, [99u8; 300]);
+        assert_eq!(std::fs::read_dir(tier.spill_dir()).unwrap().count(), 1);
     }
 
     #[test]
@@ -919,5 +1055,253 @@ mod tests {
 
         assert_eq!(master_c, master_r);
         assert_eq!(p16_c, p16_r);
+    }
+
+    #[test]
+    fn lost_part_file_is_a_typed_step_error_and_restore_resumes_bitwise() {
+        let n = 500;
+        let hp = AdamParams::default();
+        let init: Vec<f32> = (0..n).map(|i| (i as f32 * 0.29).sin()).collect();
+        let grads_at =
+            |s: usize| -> Vec<f32> { (0..n).map(|i| ((i * 3 + s) as f32 * 0.17).cos()).collect() };
+        let mut faults = FaultSession::disabled();
+
+        let mut clean = TieredAdam::new(
+            Box::new(DramTier::new()),
+            hp,
+            &init,
+            4096,
+            Tracer::disabled(),
+            "cpu",
+        );
+        let (mut master_c, mut p16_c) = (init.clone(), vec![F16::ZERO; n]);
+        for s in 0..6 {
+            clean
+                .step(&grads_at(s), &mut master_c, &mut p16_c, &mut faults)
+                .unwrap();
+        }
+
+        let tier = NvmeTier::new().expect("spill dir");
+        let dir = tier.spill_dir().to_path_buf();
+        let mut victim =
+            TieredAdam::new(Box::new(tier), hp, &init, 4096, Tracer::disabled(), "cpu");
+        assert!(victim.parts() > 3);
+        let (mut master, mut p16) = (init.clone(), vec![F16::ZERO; n]);
+        for s in 0..3 {
+            victim
+                .step(&grads_at(s), &mut master, &mut p16, &mut faults)
+                .unwrap();
+        }
+        let (snap, master_snap, p16_snap) = (victim.state(), master.clone(), p16.clone());
+
+        // Partition 2's file disappears between two steps: the stream
+        // stops at its read-ahead, after tiles 0 and 1 were updated.
+        std::fs::remove_file(dir.join("part-2.zot")).unwrap();
+        assert_eq!(
+            victim.step(&grads_at(3), &mut master, &mut p16, &mut faults),
+            Err(TieredStepError::Tier(TierError::Missing { part: 2 }))
+        );
+        assert_ne!(master, master_snap, "earlier tiles were already applied");
+
+        // Restoring the pre-failure state rewrites every partition (the
+        // lost file included) and the run resumes on the clean trajectory.
+        master.copy_from_slice(&master_snap);
+        p16.copy_from_slice(&p16_snap);
+        victim.restore(&master, &snap);
+        for s in 3..6 {
+            victim
+                .step(&grads_at(s), &mut master, &mut p16, &mut faults)
+                .unwrap();
+        }
+        assert_eq!(master, master_c);
+        assert_eq!(p16, p16_c);
+    }
+
+    /// A DRAM tier instrumented to prove the tile schedule (see
+    /// `tile_schedule_overlaps_write_back_update_and_read_ahead`).
+    ///
+    /// Round `k` of a step runs the update of tile `k` beside
+    /// `write_part(k-1)` and `read_part(k+1)`. Here those two calls first
+    /// *rendezvous* — each blocks until the other has entered — and then
+    /// both stay open until the shared trace holds tile `k`'s
+    /// `tier.tile_update` span. Every wait is bounded and fails the call
+    /// with a typed error, so a schedule that cannot satisfy it fails the
+    /// step instead of hanging the test.
+    struct RendezvousTier {
+        inner: DramTier,
+        tracer: Tracer,
+        parts: usize,
+        rounds: Mutex<Rounds>,
+        entered: Condvar,
+    }
+
+    #[derive(Default)]
+    struct Rounds {
+        /// `tier.tile_update` spans on the trace when the current step's
+        /// prime read arrived.
+        base: usize,
+        /// Per round: whether its write-back / its read-ahead has entered.
+        /// Empty until the first step's prime read, so that construction,
+        /// which writes the partitions one by one, passes straight through.
+        inside: Vec<[bool; 2]>,
+    }
+
+    /// Failure bound on every wait below; no verdict depends on its size.
+    const PATIENCE: Duration = Duration::from_secs(30);
+
+    impl RendezvousTier {
+        fn updates_recorded(&self) -> usize {
+            self.tracer.spans_named(names::TIER_UPDATE).len()
+        }
+
+        /// Entry of round `k`'s write-back (`dir` 0) or read-ahead (`dir` 1).
+        fn meet(&self, k: usize, dir: usize) -> Result<(), TierError> {
+            let stuck = |what: &str| TierError::Io {
+                detail: format!("round {k}: {what}"),
+            };
+            let deadline = Instant::now() + PATIENCE;
+            let mut rounds = self.rounds.lock().unwrap();
+            // The trace holds this many update spans once tile k's is in.
+            let done = rounds.base + k + 1;
+            rounds.inside[k][dir] = true;
+            self.entered.notify_all();
+            while !rounds.inside[k][1 - dir] {
+                let left = deadline
+                    .checked_duration_since(Instant::now())
+                    .ok_or_else(|| {
+                        stuck("the other I/O direction never started beside this one")
+                    })?;
+                rounds = self.entered.wait_timeout(rounds, left).unwrap().0;
+            }
+            drop(rounds);
+            while self.updates_recorded() < done {
+                if Instant::now() > deadline {
+                    return Err(stuck("the tile update never finished beside its I/O"));
+                }
+                std::thread::yield_now();
+            }
+            Ok(())
+        }
+    }
+
+    impl MemoryTier for RendezvousTier {
+        fn kind(&self) -> TierKind {
+            TierKind::Dram
+        }
+
+        fn write_part(&self, part: usize, payload: &[u8]) -> Result<(), TierError> {
+            // Tile `part` is written back in round `part + 1`, which has a
+            // read-ahead beside it iff tile `part + 2` exists.
+            let in_step = !self.rounds.lock().unwrap().inside.is_empty();
+            if in_step && part + 2 < self.parts {
+                self.meet(part + 1, 0)?;
+            }
+            self.inner.write_part(part, payload)
+        }
+
+        fn read_part(&self, part: usize, out: &mut Vec<u8>) -> Result<(), TierError> {
+            // Tile 0 is the step's prime read; tile `part` is read ahead in
+            // round `part - 1`, which has a write-back beside it iff
+            // `part >= 2`.
+            if part == 0 {
+                let mut rounds = self.rounds.lock().unwrap();
+                rounds.base = self.updates_recorded();
+                rounds.inside = vec![[false; 2]; self.parts];
+            } else if part >= 2 {
+                self.meet(part - 1, 1)?;
+            }
+            self.inner.read_part(part, out)
+        }
+
+        fn tear_part(&self, part: usize) -> Result<(), TierError> {
+            self.inner.tear_part(part)
+        }
+    }
+
+    /// The double-buffer schedule, proven as a property of the schedule
+    /// rather than of how slow the backing store is: in every round `k`
+    /// that has all three roles, write-back of tile `k-1`, update of tile
+    /// `k` and read-ahead of tile `k+1` are in flight together.
+    ///
+    /// Both claims hold deterministically, on any core count and with
+    /// zero-latency I/O, because [`RendezvousTier`] turns their negation
+    /// into a bounded wait that fails the step:
+    ///
+    /// 1. the two I/O directions run beside each other (neither returns
+    ///    before the other has entered) — a schedule that issued them one
+    ///    after the other could never complete a round;
+    /// 2. the update completes while both I/O calls are still open (they
+    ///    return only once its span is on the trace) — a schedule that
+    ///    started the update after its round's I/O could never complete
+    ///    one either. The trace then shows both I/O spans reaching past
+    ///    the end of the update they hide, which is asserted below.
+    ///
+    /// One inequality is deliberately *not* asserted, not even in the
+    /// several-sessions existence style the wall-clock test this replaces
+    /// used: that an I/O call *enters* before its round's update has
+    /// *finished* (what would rule out "update first, then both I/O
+    /// calls"). The update is a pure computation that calls nothing a
+    /// test can hold open, so whether a second worker gets a core before
+    /// it ends is the OS scheduler's choice: pinned to one core, or on
+    /// two cores beside three other test threads, a 128 k-element update
+    /// (≈ 0.4 ms) usually runs to completion first, and an existence
+    /// bar over 80 such races failed more than half of 20 runs. That
+    /// half of the property rests on [`Pool::run`]'s contract instead:
+    /// a round's closures are one batch, queued together before any
+    /// starts.
+    #[test]
+    fn tile_schedule_overlaps_write_back_update_and_read_ahead() {
+        const TILE: usize = 128 * 1024;
+        const PARTS: usize = 6;
+        const STEPS: usize = 2;
+        let n = TILE * PARTS;
+        let (init, grads) = (vec![0.5f32; n], vec![0.01f32; n]);
+        let tracer = Tracer::new();
+        let tier = RendezvousTier {
+            inner: DramTier::new(),
+            tracer: tracer.clone(),
+            parts: PARTS,
+            rounds: Mutex::default(),
+            entered: Condvar::new(),
+        };
+        let mut tiered = TieredAdam::new(
+            Box::new(tier),
+            AdamParams::default(),
+            &init,
+            SCRATCH_BYTES_PER_ELEM * TILE,
+            tracer.clone(),
+            "cpu",
+        );
+        assert_eq!(tiered.parts(), PARTS);
+        let (mut master, mut p16) = (init.clone(), vec![F16::ZERO; n]);
+        let mut faults = FaultSession::disabled();
+        for _ in 0..STEPS {
+            tiered
+                .step(&grads, &mut master, &mut p16, &mut faults)
+                .expect("every full round meets and holds");
+        }
+
+        // Spans complete in tile order (rounds are joined), so within a
+        // step index `i` of each name is tile `i`.
+        let updates = tracer.spans_named(names::TIER_UPDATE);
+        let writes = tracer.spans_named(names::TIER_WRITE);
+        let reads = tracer.spans_named(names::TIER_READ);
+        for spans in [&updates, &writes, &reads] {
+            assert_eq!(spans.len(), STEPS * PARTS);
+        }
+        for step in 0..STEPS {
+            for k in 1..PARTS - 1 {
+                let at = step * PARTS + k;
+                let (update, write, read) = (&updates[at], &writes[at - 1], &reads[at + 1]);
+                assert!(
+                    write.end_us() >= update.end_us() && read.end_us() >= update.end_us(),
+                    "step {step} round {k}: I/O must outlast the update it hides"
+                );
+                assert!(
+                    write.start_us <= read.end_us() && read.start_us <= write.end_us(),
+                    "step {step} round {k}: write-back and read-ahead must intersect"
+                );
+            }
+        }
     }
 }

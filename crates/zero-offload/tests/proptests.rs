@@ -12,8 +12,8 @@ use zero_offload::wire::{
     decode_frame, encode_frame, frame_bytes, quantize_grads, quantize_into, roundtrip_grads,
     WireError, HEADER_BYTES,
 };
-use zero_offload::FrameError;
 use zero_offload::{run_zero3_ranks, Zero3Cache, Zero3Event, Zero3Plan, ZeroOffloadConfig};
+use zero_offload::{FrameError, MemoryTier, NvmeTier, TierError};
 use zo_tensor::F16;
 
 fn f16_vec(max_len: usize) -> impl Strategy<Value = Vec<F16>> {
@@ -356,6 +356,80 @@ proptest! {
             prop_assert!(raw.len() >= framing::HEADER_BYTES + payload.len());
             let reframed = framing::encode_frame(spec, payload);
             prop_assert_eq!(framing::decode_frame(spec, &reframed).unwrap(), payload);
+        }
+    }
+}
+
+proptest! {
+    // Every case creates and removes a spill directory.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The NVMe tier's in-place part file against a model, under any
+    /// sequence of writes of varying length and out-of-band damage (tear,
+    /// byte flip, appended junk): a read returns exactly the last
+    /// completed write's payload while that frame is intact, and that
+    /// payload or a typed frame error once it is not — never other bytes,
+    /// never an I/O error or a panic. A completed write always leaves the
+    /// file exactly one frame long, whatever it found.
+    #[test]
+    fn nvme_part_file_reads_the_last_completed_write_or_a_typed_error(
+        ops in prop::collection::vec((0u8..5, 0usize..4096), 1..24),
+    ) {
+        use std::io::Write;
+        let tier = NvmeTier::new().expect("spill dir");
+        let path = tier.spill_dir().join("part-0.zot");
+        let on_disk = || std::fs::metadata(&path).unwrap().len() as usize;
+        // The model: the last completed write, and whether its frame is
+        // still whole on disk.
+        let mut last: Option<Vec<u8>> = None;
+        let mut intact = false;
+        let mut out = Vec::new();
+        for (seq, (kind, arg)) in ops.into_iter().enumerate() {
+            let framed = last.as_ref().map_or(0, |p| framing::HEADER_BYTES + p.len());
+            let was_intact = intact;
+            match kind {
+                0 => {
+                    let payload: Vec<u8> =
+                        (0..arg % 600).map(|i| (i * 31 + seq * 7 + 1) as u8).collect();
+                    tier.write_part(0, &payload).unwrap();
+                    prop_assert_eq!(on_disk(), framing::HEADER_BYTES + payload.len());
+                    last = Some(payload);
+                    intact = true;
+                }
+                1 => match tier.tear_part(0) {
+                    // Halving can spare a frame that had junk behind it.
+                    Ok(()) => intact &= on_disk() >= framed,
+                    Err(e) => {
+                        prop_assert_eq!(e, TierError::Missing { part: 0 });
+                        prop_assert!(last.is_none());
+                    }
+                },
+                2 if last.is_some() && on_disk() > 0 => {
+                    let mut blob = std::fs::read(&path).unwrap();
+                    let at = arg % blob.len();
+                    blob[at] ^= 0x40;
+                    std::fs::write(&path, &blob).unwrap();
+                    intact &= at >= framed;
+                }
+                3 if last.is_some() => {
+                    let mut file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+                    file.write_all(&vec![0xEE; 1 + arg % 64]).unwrap();
+                }
+                _ => {}
+            }
+            match (tier.read_part(0, &mut out), &last) {
+                (Ok(()), Some(payload)) => {
+                    prop_assert_eq!(&out, payload, "op {}", seq);
+                    // Fresh damage inside the frame never goes unnoticed.
+                    prop_assert!(intact || !was_intact, "op {}: damage read back clean", seq);
+                }
+                (Ok(()), None) => prop_assert!(false, "op {}: read a part never written", seq),
+                (Err(TierError::Missing { part: 0 }), None) => {}
+                (Err(TierError::Frame(e)), Some(_)) => {
+                    prop_assert!(!intact, "op {}: intact frame refused: {:?}", seq, e)
+                }
+                (Err(e), _) => prop_assert!(false, "op {}: untyped failure {:?}", seq, e),
+            }
         }
     }
 }

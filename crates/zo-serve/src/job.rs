@@ -493,6 +493,9 @@ fn describe_step_error<E>(e: StepError<E>) -> String {
     match e {
         StepError::Backward(_) => "backward pass failed".to_string(),
         StepError::Fault(f) => f.to_string(),
+        // Torn tier state: quarantine restores it from a checkpoint, the
+        // same recovery a fatal `tier.write` fault gets.
+        StepError::Tier(e) => e.to_string(),
         StepError::OverflowStorm { consecutive } => {
             format!("overflow storm: {consecutive} consecutive skipped steps")
         }

@@ -181,6 +181,16 @@ leg_criterion_artifact() {
     echo
 }
 
+# `bench/` is a workspace of its own that nothing above compiles, so an
+# API or behaviour change that stops it building, or trips one of its
+# correctness checks (NVMe trajectory == DRAM trajectory, zero failed
+# steps, ...), would first be seen by the perf pipeline. The smoke run
+# builds it and runs every workload once; it gates on the exit status
+# only, never on a speed number.
+leg_bench_smoke() {
+    bench/run.sh --quick
+}
+
 # -------------------------------------------------------------- driver
 
 run_leg "cargo fmt / clippy / doc (warnings are errors)" leg_lint
@@ -195,6 +205,7 @@ run_leg "trajectory fingerprint matrix (faults x threads x tier, stages 1 and 3)
 run_leg "benchmark fingerprint artifact (BENCH_fingerprint.json)" leg_fingerprint_artifact
 run_leg "kernel perf trajectory artifact (BENCH_kernels.json)" leg_kernel_artifact
 run_leg "criterion bench sweep artifact (BENCH_criterion.json)" leg_criterion_artifact
+run_leg "benchmark smoke run (bench/run.sh --quick: builds, every workload correct)" leg_bench_smoke
 
 echo
 echo "== leg wall times"

@@ -4,8 +4,10 @@
 //! on the single-replica engine and the ZeRO-3 parameter-partitioned
 //! engine, with and without fault injection. The streaming schedule must
 //! also honor its DRAM scratch budget (observable as the `tier_hwm_bytes`
-//! gauge) and genuinely overlap tier I/O with the tiled Adam update
-//! (observable on wall-clock trace spans).
+//! gauge). That it overlaps tier I/O with the tiled Adam update is proven
+//! beside the schedule itself, in `zero_offload::tier`'s unit tests, over
+//! a rendezvous tier — not here on wall-clock spans, whose verdict
+//! depended on how slow the file system was.
 
 use zero_offload::{
     DramTier, FaultsRef, NvmeTier, TierKind, TracerRef, ZeroOffloadConfig, ZeroOffloadEngine,
@@ -181,80 +183,6 @@ fn tiling_respects_the_configured_scratch_budget() {
     assert!(
         traffic >= (3 * 2 * 12 * n) as u64,
         "tier traffic {traffic} below 3 steps of full-state read+write"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// The double-buffer schedule: I/O overlaps compute on the wall clock.
-// ---------------------------------------------------------------------------
-
-/// One training session on the NVMe tier; returns (overlapping, total)
-/// tile-update counts measured from the trace spans.
-fn overlap_session() -> (usize, usize) {
-    // A bigger model and a moderate tile size give every step dozens of
-    // (write k-1 | update k | read k+1) rounds whose spans are long
-    // enough to observe concurrency.
-    let gpt = GptConfig {
-        vocab: 64,
-        seq_len: 16,
-        hidden: 128,
-        heads: 4,
-        layers: 2,
-    };
-    let tracer = zo_trace::Tracer::new();
-    let nvme_cfg = ZeroOffloadConfig {
-        tracer: Some(TracerRef::install(tracer.clone())),
-        tier_scratch_bytes: 256 * 1024,
-        ..with_plan(cfg(TierKind::Nvme), FaultPlan::disabled())
-    };
-    let mut engine = ZeroOffloadEngine::new(GptModel::new(gpt, 42), nvme_cfg);
-    let mut data = BigramLm::new(gpt.vocab, 0.05, 7);
-    for _ in 0..3 {
-        let b = data.batch(2, gpt.seq_len);
-        engine
-            .step(|m| m.train_step(&b.inputs, &b.targets, 2, gpt.seq_len, |_| {}))
-            .unwrap();
-    }
-    let updates = tracer.spans_named(names::TIER_UPDATE);
-    let mut io = tracer.spans_named(names::TIER_READ);
-    io.extend(tracer.spans_named(names::TIER_WRITE));
-    assert!(
-        updates.len() > 30 && io.len() > 60,
-        "expected dozens of tiles ({} updates, {} io spans)",
-        updates.len(),
-        io.len()
-    );
-    let overlapping = updates
-        .iter()
-        .filter(|u| io.iter().any(|e| u.overlaps(e)))
-        .count();
-    (overlapping, updates.len())
-}
-
-#[test]
-fn tier_io_overlaps_tile_updates_on_the_wall_clock() {
-    // What the schedule guarantees is that I/O for tiles k-1/k+1 is *in
-    // flight* while tile k updates; whether the OS actually interleaves
-    // the spans on the wall clock is scheduling luck on a loaded
-    // single-vCPU CI host (the packed GEMM shortened every span, so one
-    // session no longer reliably straddles enough scheduler quanta).
-    // Overlap is therefore asserted as an existence claim: a few
-    // independent sessions, at least one with a healthy overlap
-    // fraction. A schedule that serialized I/O by construction would
-    // fail every attempt deterministically.
-    let mut best = (0usize, 1usize);
-    for _ in 0..4 {
-        let (overlapping, total) = overlap_session();
-        if overlapping * 10 >= total {
-            return;
-        }
-        if overlapping * best.1 > best.0 * total {
-            best = (overlapping, total);
-        }
-    }
-    panic!(
-        "no session reached the overlap bar; best {}/{} tile updates overlapped tier I/O",
-        best.0, best.1
     );
 }
 
