@@ -15,6 +15,10 @@
 //! and one proptest suite — for the torn/corrupt/foreign cases. The
 //! gradient wire frames ([`crate::wire`]) have their own header but the
 //! same [`checksum`].
+//!
+//! What both consumers put *inside* the frame is fp32 state as bulk
+//! little-endian images, so the one `f32`-slice ⇄ bytes codec lives here
+//! too (`f32s_to_le` / `f32s_from_le`).
 
 /// Frame header size: magic, version, payload length, checksum.
 pub const HEADER_BYTES: usize = 4 + 4 + 8 + 4;
@@ -218,6 +222,31 @@ pub fn decode_frame(spec: FrameSpec, bytes: &[u8]) -> Result<&[u8], FrameError> 
     decode_header(spec, bytes)?.verify(&bytes[HEADER_BYTES..])
 }
 
+/// Writes `values` over `image` as little-endian `f32`s, four bytes each —
+/// a lossless byte image (every bit pattern, NaN payloads included), which
+/// is what lets tier blobs and checkpoint files restore a run bit for bit.
+///
+/// # Panics
+/// If `image` is not exactly `4 * values.len()` bytes.
+pub(crate) fn f32s_to_le(values: &[f32], image: &mut [u8]) {
+    assert_eq!(image.len(), 4 * values.len(), "f32 image length");
+    for (dst, x) in image.chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Inverse of [`f32s_to_le`]: reads `image` into `values`.
+///
+/// # Panics
+/// If `image` is not exactly `4 * values.len()` bytes — callers validate
+/// lengths that come from a file before they get here.
+pub(crate) fn f32s_from_le(image: &[u8], values: &mut [f32]) {
+    assert_eq!(image.len(), 4 * values.len(), "f32 image length");
+    for (x, src) in values.iter_mut().zip(image.chunks_exact(4)) {
+        *x = f32::from_le_bytes(src.try_into().expect("4 bytes"));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,6 +371,34 @@ mod tests {
                     assert_ne!(sums[a], sums[b], "len {len}: +{a} vs +{b} zeros");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn f32_images_roundtrip_every_bit_pattern_class() {
+        // NaN payloads, both infinities, -0.0, subnormals: compared as
+        // bits, since `==` is false on NaN and true on 0.0 vs -0.0.
+        let bits = [
+            0u32,
+            0x8000_0000,
+            0x0000_0001,
+            0x807F_FFFF,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x7FC0_0001,
+            0xFFFF_FFFF,
+            0x3F80_0000,
+        ];
+        for len in [0usize, 1, 7, bits.len()] {
+            let values: Vec<f32> = bits[..len].iter().map(|&b| f32::from_bits(b)).collect();
+            let mut image = vec![0xAA; 4 * len];
+            f32s_to_le(&values, &mut image);
+            let expect: Vec<u8> = bits[..len].iter().flat_map(|b| b.to_le_bytes()).collect();
+            assert_eq!(image, expect, "len {len}");
+            let mut back = vec![1.0f32; len];
+            f32s_from_le(&image, &mut back);
+            let back: Vec<u32> = back.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(back, &bits[..len], "len {len}");
         }
     }
 

@@ -45,7 +45,8 @@ use zo_tensor::{cast_f32_to_f16, F16};
 use zo_trace::{names, Tracer};
 
 use crate::framing::{
-    decode_frame, decode_header, encode_frame, encode_header, FrameError, FrameSpec, HEADER_BYTES,
+    decode_frame, decode_header, encode_frame, encode_header, f32s_from_le, f32s_to_le, FrameError,
+    FrameSpec, HEADER_BYTES,
 };
 
 /// Tier partition-blob magic: "ZOtr".
@@ -381,9 +382,7 @@ fn encode_payload(master: &[f32], m: &[f32], v: &[f32], out: &mut Vec<u8>) {
         .into_iter()
         .zip(out.chunks_exact_mut(4 * len))
     {
-        for (dst, x) in image.chunks_exact_mut(4).zip(series) {
-            dst.copy_from_slice(&x.to_le_bytes());
-        }
+        f32s_to_le(series, image);
     }
 }
 
@@ -411,9 +410,7 @@ fn decode_payload(
         .into_iter()
         .zip(payload.chunks_exact(4 * len))
     {
-        for (x, src) in series[..len].iter_mut().zip(image.chunks_exact(4)) {
-            *x = f32::from_le_bytes(src.try_into().expect("4 bytes"));
-        }
+        f32s_from_le(image, &mut series[..len]);
     }
     Ok(())
 }

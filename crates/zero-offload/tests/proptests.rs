@@ -1,19 +1,28 @@
-//! Property-based tests for the PCIe wire format and gradient bucketer.
+//! Property-based tests for the PCIe wire format, the gradient bucketer,
+//! the shared frame codec and the files built on it.
 //!
 //! The offload path's correctness rests on two mechanical invariants:
 //! frames survive the encode/decode round-trip bit-exactly, and the
 //! bucketer's scatter/gather is lossless for any parameter count and
-//! bucket budget (including a ragged final bucket).
+//! bucket budget (including a ragged final bucket). Durable state adds a
+//! third: a checkpoint or tier blob reads back bit for bit, or as a typed
+//! error — whatever was done to the file.
 
 use proptest::prelude::*;
 use zero_offload::bucket::{scatter_frame, scatter_frames, GradBucketer};
+use zero_offload::checkpoint::{FILE_MAGIC, FILE_VERSION, FIXED_BYTES};
 use zero_offload::framing;
 use zero_offload::wire::{
     decode_frame, encode_frame, frame_bytes, quantize_grads, quantize_into, roundtrip_grads,
     WireError, HEADER_BYTES,
 };
+use zero_offload::{
+    decode_checkpoint_bytes, encode_checkpoint_bytes, CheckpointError, DpuCheckpoint,
+    TrainingCheckpoint,
+};
 use zero_offload::{run_zero3_ranks, Zero3Cache, Zero3Event, Zero3Plan, ZeroOffloadConfig};
 use zero_offload::{FrameError, MemoryTier, NvmeTier, TierError};
+use zo_optim::AdamState;
 use zo_tensor::F16;
 
 fn f16_vec(max_len: usize) -> impl Strategy<Value = Vec<F16>> {
@@ -170,27 +179,30 @@ fn grad_bits() -> impl Strategy<Value = Vec<f32>> {
         0u64..=u64::MAX,
         0u32..4,
     )
-        .prop_map(|(len, seed, kind)| {
-            let mut x = seed | 1;
-            (0..len)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let bits = (x >> 32) as u32;
-                    match kind {
-                        // Raw bit patterns: every class, mostly huge or tiny.
-                        0 => f32::from_bits(bits),
-                        // Exponent forced to all-ones: inf and NaN payloads.
-                        1 => f32::from_bits(bits | 0x7F80_0000),
-                        // f32 subnormals and zeros.
-                        2 => f32::from_bits(bits & 0x807F_FFFF),
-                        // Gradient-sized finite values.
-                        _ => (bits as f32 / u32::MAX as f32 - 0.5) * 8.0,
-                    }
-                })
-                .collect()
+        .prop_map(|(len, seed, kind)| patterned_f32s(len, seed, kind))
+}
+
+/// `len` floats from a xorshift stream, shaped by `kind` (0..4).
+fn patterned_f32s(len: usize, seed: u64, kind: u32) -> Vec<f32> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let bits = (x >> 32) as u32;
+            match kind {
+                // Raw bit patterns: every class, mostly huge or tiny.
+                0 => f32::from_bits(bits),
+                // Exponent forced to all-ones: inf and NaN payloads.
+                1 => f32::from_bits(bits | 0x7F80_0000),
+                // f32 subnormals and zeros.
+                2 => f32::from_bits(bits & 0x807F_FFFF),
+                // Gradient-sized finite values.
+                _ => (bits as f32 / u32::MAX as f32 - 0.5) * 8.0,
+            }
         })
+        .collect()
 }
 
 fn f32_bits(v: &[f32]) -> Vec<u32> {
@@ -356,6 +368,163 @@ proptest! {
             prop_assert!(raw.len() >= framing::HEADER_BYTES + payload.len());
             let reframed = framing::encode_frame(spec, payload);
             prop_assert_eq!(framing::decode_frame(spec, &reframed).unwrap(), payload);
+        }
+    }
+}
+
+/// A checkpoint of `n` elements whose floats are arbitrary bit patterns
+/// (`kind` as in [`patterned_f32s`]), counters arbitrary `u64`s, and DPU
+/// state one of the three shapes the file format tags: 0 none, 1 quiesced,
+/// 2 a pending gradient of `pending_len` elements.
+fn checkpoint_of(
+    n: usize,
+    dpu_tag: u32,
+    pending_len: usize,
+    seed: u64,
+    kind: u32,
+) -> TrainingCheckpoint {
+    let counter = |k: u64| {
+        seed.rotate_left(k as u32)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ k
+    };
+    TrainingCheckpoint {
+        master: patterned_f32s(n, seed, kind),
+        optim: AdamState {
+            m: patterned_f32s(n, seed ^ 1, kind),
+            v: patterned_f32s(n, seed ^ 2, kind),
+            step: counter(1),
+        },
+        loss_scale: (patterned_f32s(1, seed ^ 3, kind)[0], counter(2) as u32),
+        dpu: match dpu_tag {
+            0 => None,
+            1 => Some(DpuCheckpoint {
+                steps_seen: counter(3),
+                pending: None,
+            }),
+            _ => Some(DpuCheckpoint {
+                steps_seen: counter(3),
+                pending: Some(patterned_f32s(pending_len, seed ^ 4, kind)),
+            }),
+        },
+        steps_applied: counter(4),
+        steps_skipped: counter(5),
+    }
+}
+
+/// Every field of a checkpoint with its floats as bits: `PartialEq` on the
+/// checkpoint itself is false on NaN and blind to the sign of zero.
+#[derive(Debug, PartialEq)]
+struct CheckpointBits {
+    state: [Vec<u32>; 3],
+    loss_scale: (u32, u32),
+    dpu: Option<(u64, Option<Vec<u32>>)>,
+    counters: [u64; 3],
+}
+
+fn checkpoint_bits(c: &TrainingCheckpoint) -> CheckpointBits {
+    CheckpointBits {
+        state: [
+            f32_bits(&c.master),
+            f32_bits(&c.optim.m),
+            f32_bits(&c.optim.v),
+        ],
+        loss_scale: (c.loss_scale.0.to_bits(), c.loss_scale.1),
+        dpu: c
+            .dpu
+            .as_ref()
+            .map(|d| (d.steps_seen, d.pending.as_deref().map(f32_bits))),
+        counters: [c.optim.step, c.steps_applied, c.steps_skipped],
+    }
+}
+
+const CKPT_LENS: [usize; 6] = [0, 1, 2, 7, 33, 1025];
+
+proptest! {
+    /// Any checkpoint — arbitrary float bit patterns (NaN payloads, ±inf,
+    /// −0.0, subnormals), counters past 2⁵³, each DPU shape, empty, one
+    /// and odd lengths — round-trips bit for bit, in a file of exactly
+    /// header + fixed section + four bytes an element.
+    #[test]
+    fn checkpoint_roundtrip_is_bit_exact(
+        n in prop::sample::select(CKPT_LENS.to_vec()),
+        dpu_tag in 0u32..3,
+        pending_len in prop::sample::select(CKPT_LENS.to_vec()),
+        seed in 0u64..=u64::MAX,
+        kind in 0u32..4,
+    ) {
+        let ckpt = checkpoint_of(n, dpu_tag, pending_len, seed, kind);
+        let bytes = encode_checkpoint_bytes(&ckpt);
+        let pending = if dpu_tag == 2 { pending_len } else { 0 };
+        prop_assert_eq!(
+            bytes.len(),
+            framing::HEADER_BYTES + FIXED_BYTES + 4 * (3 * n + pending)
+        );
+        let back = decode_checkpoint_bytes(&bytes).unwrap();
+        prop_assert_eq!(checkpoint_bits(&back), checkpoint_bits(&ckpt));
+        // Bytes past the frame are not the checkpoint's.
+        let mut junked = bytes.clone();
+        junked.extend_from_slice(&seed.to_le_bytes()[..(seed % 9) as usize]);
+        let back = decode_checkpoint_bytes(&junked).unwrap();
+        prop_assert_eq!(checkpoint_bits(&back), checkpoint_bits(&ckpt));
+    }
+
+    /// A checkpoint file cut anywhere is `Truncated`; with any one byte
+    /// flipped it is the typed error of the region hit. Never a panic,
+    /// never a checkpoint.
+    #[test]
+    fn checkpoint_truncation_and_byte_flips_are_typed(
+        n in prop::sample::select(vec![0usize, 1, 7, 33]),
+        dpu_tag in 0u32..3,
+        seed in 0u64..=u64::MAX,
+        at in 0usize..100_000,
+        flip in 1u8..=255,
+    ) {
+        let bytes = encode_checkpoint_bytes(&checkpoint_of(n, dpu_tag, n + 1, seed, 0));
+        let at = at % bytes.len();
+        let err = decode_checkpoint_bytes(&bytes[..at]).unwrap_err();
+        prop_assert!(matches!(err, CheckpointError::Truncated { .. }), "cut at {}: {:?}", at, err);
+
+        let mut raw = bytes.clone();
+        raw[at] ^= flip;
+        let err = decode_checkpoint_bytes(&raw).unwrap_err();
+        let ok = match at {
+            0..=3 => matches!(err, CheckpointError::BadMagic { .. }),
+            4..=7 => matches!(err, CheckpointError::BadVersion { .. }),
+            8..=15 => matches!(
+                err,
+                CheckpointError::Truncated { .. } | CheckpointError::Corrupted { .. }
+            ),
+            _ => matches!(err, CheckpointError::Corrupted { .. }),
+        };
+        prop_assert!(ok, "flip {:#04x} at byte {}: {:?}", flip, at, err);
+    }
+
+    /// Damage *under* a valid checksum — a payload with arbitrary bytes
+    /// written over any stretch of it, then framed again — reaches the
+    /// payload's own validation: it decodes to `Malformed`, or to a
+    /// checkpoint that encodes back to the very same file. Never a panic,
+    /// never an allocation sized by a length the payload does not hold.
+    #[test]
+    fn checkpoint_damage_under_a_valid_checksum_is_malformed_or_canonical(
+        n in prop::sample::select(vec![0usize, 1, 7, 33]),
+        dpu_tag in 0u32..3,
+        seed in 0u64..=u64::MAX,
+        at in 0usize..100_000,
+        junk in byte_vec(24),
+    ) {
+        let bytes = encode_checkpoint_bytes(&checkpoint_of(n, dpu_tag, n + 1, seed, 0));
+        let mut payload = bytes[framing::HEADER_BYTES..].to_vec();
+        // Two cases in three land in the fixed section, where the lengths
+        // and the tag live.
+        let at = if at % 3 == 0 { at % payload.len() } else { at % FIXED_BYTES };
+        let end = (at + junk.len()).min(payload.len());
+        payload[at..end].copy_from_slice(&junk[..end - at]);
+        let spec = framing::FrameSpec { magic: FILE_MAGIC, version: FILE_VERSION };
+        let blob = framing::encode_frame(spec, &payload);
+        match decode_checkpoint_bytes(&blob) {
+            Ok(ckpt) => prop_assert_eq!(encode_checkpoint_bytes(&ckpt), blob),
+            Err(e) => prop_assert!(matches!(e, CheckpointError::Malformed { .. }), "{e:?}"),
         }
     }
 }

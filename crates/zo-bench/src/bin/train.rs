@@ -2,11 +2,14 @@
 //!
 //! Mirrors the DeepSpeed usability model: training behaviour comes from a
 //! JSON config file (all fields optional), the loop itself is unchanged
-//! user code. Supports checkpoint save/resume.
+//! user code. Supports checkpoint save/resume through the engine's framed
+//! binary checkpoint file (DESIGN §9): `--save` writes one when the run
+//! ends, `--resume` continues from one and refuses a torn, foreign or
+//! older-version file with a typed error.
 //!
 //! ```text
 //! train [--config cfg.json] [--steps N] [--batch B] [--layers L]
-//!       [--hidden H] [--save ckpt.json] [--resume ckpt.json] [--ckpt-acts]
+//!       [--hidden H] [--save run.ckpt] [--resume run.ckpt] [--ckpt-acts]
 //! ```
 
 use std::process::ExitCode;
@@ -105,9 +108,8 @@ fn run() -> Result<(), String> {
     let mut engine = ZeroOffloadEngine::new(model, cfg);
 
     if let Some(path) = &args.resume {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         engine
-            .restore_json(&json)
+            .restore_checkpoint_file(path)
             .map_err(|e| format!("restoring {path}: {e}"))?;
         eprintln!(
             "resumed from {path} at step {}",
@@ -145,7 +147,8 @@ fn run() -> Result<(), String> {
     );
 
     if let Some(path) = &args.save {
-        std::fs::write(path, engine.checkpoint_json())
+        engine
+            .save_checkpoint_file(path)
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("checkpoint saved to {path}");
     }

@@ -12,7 +12,7 @@ use zo_collectives::Communicator;
 use zo_fault::FaultPlan;
 use zo_models::BigramLm;
 use zo_nn::GptModel;
-use zo_trace::Tracer;
+use zo_trace::{names, Tracer};
 
 use crate::fingerprint::fingerprint_run;
 use crate::spec::{DataMode, JobSpec, StageSpec};
@@ -121,8 +121,6 @@ pub(crate) struct JobRuntime {
     recovery_cfg: ZeroOffloadConfig,
     /// Checkpoint directory (absent: quarantine restarts from scratch).
     ckpt_dir: Option<PathBuf>,
-    /// Last checkpointed step (file set `step{k}.rank*.ckpt` complete).
-    last_ckpt: Option<usize>,
 }
 
 impl JobRuntime {
@@ -158,6 +156,7 @@ impl JobRuntime {
             (Some(root), n) if n > 0 => {
                 let dir = root.join(&spec.name);
                 std::fs::create_dir_all(&dir).map_err(|e| JobError::Io(e.to_string()))?;
+                remove_stale_tmp(&dir);
                 Some(dir)
             }
             _ => None,
@@ -174,14 +173,11 @@ impl JobRuntime {
             cfg,
             recovery_cfg,
             ckpt_dir,
-            last_ckpt: None,
             spec,
         };
         // Crash-resume: a fresh service finding checkpoints from a prior
         // incarnation of this job continues where it left off.
-        if let Some(k) = job.latest_checkpoint_step() {
-            job.restore_from_checkpoint(k, job.cfg)?;
-        }
+        job.restore_newest_checkpoint()?;
         Ok(job)
     }
 
@@ -203,8 +199,9 @@ impl JobRuntime {
                     && self.steps_done.is_multiple_of(self.spec.checkpoint_every)
                 {
                     // A failed periodic checkpoint is not fatal to the
-                    // job; quarantine just restarts from an older one.
-                    let _ = self.write_checkpoints();
+                    // job (it is counted on the trace); quarantine just
+                    // restarts from an older one.
+                    self.write_checkpoints();
                 }
             }
             Err(reason) => self.quarantine(reason),
@@ -223,46 +220,59 @@ impl JobRuntime {
             self.state = JobState::Failed { reason };
             return;
         }
-        let resume = self.latest_checkpoint_step().unwrap_or(0);
         let cfg = self.recovery_cfg;
         self.engines = build_engines(&self.spec, cfg);
         self.cfg = cfg;
-        if resume > 0 {
-            if let Err(e) = self.restore_from_checkpoint(resume, cfg) {
+        match self.restore_newest_checkpoint() {
+            Ok(resume) => self.resumed_from = Some(resume),
+            Err(e) => {
                 self.state = JobState::Failed {
                     reason: format!("{reason}; restore failed: {e}"),
-                };
-                return;
+                }
             }
-        } else {
-            self.reset_data_stream(0);
         }
-        self.resumed_from = Some(resume);
     }
 
-    /// Restores engines from the step-`k` checkpoint set and rewinds the
-    /// data stream and loss log to step `k`.
-    fn restore_from_checkpoint(
-        &mut self,
-        k: usize,
-        cfg: ZeroOffloadConfig,
-    ) -> Result<(), JobError> {
-        let dir = self
-            .ckpt_dir
-            .clone()
-            .ok_or_else(|| JobError::Io("no checkpoint directory".into()))?;
+    /// Positions the job at the newest checkpoint set that decodes —
+    /// engines restored, data stream and loss log rewound to its step —
+    /// and returns that step. A set that does not decode — torn,
+    /// bit-rotted, foreign, or an older file version — is passed over for
+    /// the next-newest; when none decodes (or the job keeps no
+    /// checkpoints) the engines are left as built and the job stands at
+    /// step 0.
+    fn restore_newest_checkpoint(&mut self) -> Result<usize, JobError> {
         let world = self.spec.stage.world();
-        let mut ckpts = Vec::with_capacity(world);
-        for r in 0..world {
-            let bytes =
-                std::fs::read(ckpt_path(&dir, k, r)).map_err(|e| JobError::Io(e.to_string()))?;
-            ckpts.push(decode_checkpoint_bytes(&bytes)?);
+        if let Some(dir) = self.ckpt_dir.clone() {
+            for k in complete_checkpoint_steps(&dir, world) {
+                let ckpts: Result<Vec<TrainingCheckpoint>, JobError> = (0..world)
+                    .map(|r| {
+                        let bytes = std::fs::read(ckpt_path(&dir, k, r))
+                            .map_err(|e| JobError::Io(e.to_string()))?;
+                        Ok(decode_checkpoint_bytes(&bytes)?)
+                    })
+                    .collect();
+                match ckpts {
+                    Ok(ckpts) => {
+                        restore_engines(&mut self.engines, &ckpts)?;
+                        self.reset_data_stream(k);
+                        return Ok(k);
+                    }
+                    // What is wrong with the *file*; a mismatch with the
+                    // engine (size, DPU mode) or a failing disk is not
+                    // something an older set would cure.
+                    Err(JobError::Checkpoint(
+                        CheckpointError::Truncated { .. }
+                        | CheckpointError::Corrupted { .. }
+                        | CheckpointError::BadMagic { .. }
+                        | CheckpointError::BadVersion { .. }
+                        | CheckpointError::Malformed { .. },
+                    )) => continue,
+                    Err(e) => return Err(e),
+                }
+            }
         }
-        restore_engines(&mut self.engines, &ckpts)?;
-        self.reset_data_stream(k);
-        self.last_ckpt = Some(k);
-        let _ = cfg; // engines were already built under `cfg`
-        Ok(())
+        self.reset_data_stream(0);
+        Ok(0)
     }
 
     /// Replays the data stream to batch index `k` (batches are consumed
@@ -284,45 +294,33 @@ impl JobRuntime {
         }
     }
 
-    /// Writes the per-rank checkpoint set for the current step.
-    fn write_checkpoints(&mut self) -> Result<(), JobError> {
-        let Some(dir) = self.ckpt_dir.clone() else {
-            return Ok(());
+    /// Writes the per-rank checkpoint set for the current step, one rank
+    /// at a time: snapshot, encode, write `*.ckpt.tmp`, rename. A name
+    /// without `.tmp` is therefore a file that was written completely, and
+    /// the set counts once every rank's name exists.
+    ///
+    /// Each file is a `checkpoint.write` span on this job's `ckpt` track.
+    /// A file that cannot be written is counted there too, and abandons
+    /// the set (restore skips incomplete sets).
+    fn write_checkpoints(&self) {
+        let Some(dir) = &self.ckpt_dir else {
+            return;
         };
-        let k = self.steps_done;
-        for (r, ckpt) in save_engines(&self.engines).into_iter().enumerate() {
-            let bytes = encode_checkpoint_bytes(&ckpt);
-            std::fs::write(ckpt_path(&dir, k, r), bytes)
-                .map_err(|e| JobError::Io(e.to_string()))?;
-        }
-        self.last_ckpt = Some(k);
-        Ok(())
-    }
-
-    /// The newest step with a complete per-rank checkpoint set on disk.
-    fn latest_checkpoint_step(&self) -> Option<usize> {
-        let dir = self.ckpt_dir.as_ref()?;
-        let world = self.spec.stage.world();
-        let mut best: Option<usize> = None;
-        for entry in std::fs::read_dir(dir).ok()? {
-            let name = entry.ok()?.file_name();
-            let name = name.to_string_lossy();
-            let Some(k) = name
-                .strip_prefix("step")
-                .and_then(|s| s.split('.').next())
-                .and_then(|s| s.parse::<usize>().ok())
-            else {
-                continue;
-            };
-            if best.is_some_and(|b| b >= k) {
-                continue;
+        for r in 0..self.spec.stage.world() {
+            let span = self.tracer.span("ckpt", names::CHECKPOINT_WRITE);
+            let bytes = encode_checkpoint_bytes(&rank_checkpoint(&self.engines, r));
+            let path = ckpt_path(dir, self.steps_done, r);
+            let tmp = path.with_extension("ckpt.tmp");
+            let published = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, path));
+            drop(span);
+            if published.is_err() {
+                let _ = std::fs::remove_file(&tmp);
+                self.tracer.add("ckpt", names::CKPT_WRITE_FAILED, 1);
+                return;
             }
-            let complete = (0..world).all(|r| ckpt_path(dir, k, r).exists());
-            if complete {
-                best = Some(k);
-            }
+            self.tracer
+                .add("ckpt", names::CKPT_BYTES, bytes.len() as u64);
         }
-        best
     }
 
     /// Elastic rank join/leave: reshards the job's state over
@@ -351,7 +349,9 @@ impl JobRuntime {
             return Ok(());
         }
         // Snapshot every rank's shard, concatenate to the full state.
-        let shards = save_engines(&self.engines);
+        let shards: Vec<TrainingCheckpoint> = (0..world)
+            .map(|r| rank_checkpoint(&self.engines, r))
+            .collect();
         let full = concat_checkpoints(&shards)?;
         // Rebuild the engines at the new world size and deal the full
         // state back out along the new partition.
@@ -380,6 +380,39 @@ impl JobRuntime {
 
 fn ckpt_path(dir: &Path, step: usize, rank: usize) -> PathBuf {
     dir.join(format!("step{step:06}.rank{rank}.ckpt"))
+}
+
+/// Steps whose checkpoint set is complete in `dir` — every rank's file
+/// exists under its final name — newest first.
+fn complete_checkpoint_steps(dir: &Path, world: usize) -> Vec<usize> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut steps: Vec<usize> = entries
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name();
+            let step = name.to_str()?.strip_prefix("step")?;
+            step.strip_suffix(".rank0.ckpt")?.parse().ok()
+        })
+        .filter(|&k| (0..world).all(|r| ckpt_path(dir, k, r).exists()))
+        .collect();
+    steps.sort_unstable_by(|a, b| b.cmp(a));
+    steps.dedup();
+    steps
+}
+
+/// Removes the `*.ckpt.tmp` files a crashed incarnation left mid-write.
+/// They were never published: restore only reads final names.
+fn remove_stale_tmp(dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        if entry.file_name().to_string_lossy().ends_with(".ckpt.tmp") {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
 }
 
 /// Builds the engines for `spec`. Multi-rank stages construct
@@ -502,11 +535,12 @@ fn describe_step_error<E>(e: StepError<E>) -> String {
     }
 }
 
-fn save_engines(engines: &Engines) -> Vec<TrainingCheckpoint> {
+/// Rank `r`'s snapshot (the single engine is rank 0).
+fn rank_checkpoint(engines: &Engines, r: usize) -> TrainingCheckpoint {
     match engines {
-        Engines::Single(e) => vec![e.save_checkpoint()],
-        Engines::Zero2(ranks) => ranks.iter().map(|e| e.save_checkpoint()).collect(),
-        Engines::Zero3(ranks) => ranks.iter().map(|e| e.save_checkpoint()).collect(),
+        Engines::Single(e) => e.save_checkpoint(),
+        Engines::Zero2(ranks) => ranks[r].save_checkpoint(),
+        Engines::Zero3(ranks) => ranks[r].save_checkpoint(),
     }
 }
 

@@ -154,3 +154,48 @@ pub fn run_solo(spec: JobSpec) -> JobReport {
     let mut report = service.run_to_completion();
     report.jobs.remove(0)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zo_nn::GptConfig;
+    use zo_trace::names;
+
+    /// A periodic checkpoint that cannot be written does not stop the job,
+    /// and does not go unseen: the job's trace counts it.
+    #[test]
+    fn failed_periodic_checkpoint_is_counted_and_the_job_completes() {
+        let root = std::env::temp_dir().join(format!("zo_serve_lost_dir_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let gpt = GptConfig {
+            vocab: 16,
+            seq_len: 8,
+            hidden: 16,
+            heads: 2,
+            layers: 1,
+        };
+        let mut spec = JobSpec::new("orphan", gpt, 10);
+        spec.checkpoint_every = 2;
+        let mut service = Service::with_checkpoint_root(1, &root);
+        service.submit(spec).expect("submit");
+        while service.steps_done("orphan") < 3 {
+            assert!(service.tick());
+        }
+        let tracer = service.jobs[0].tracer.clone();
+        assert_eq!(tracer.spans_named(names::CHECKPOINT_WRITE).len(), 1);
+        assert!(tracer.counter_total(names::CKPT_BYTES) > 0);
+        assert_eq!(tracer.counter_total(names::CKPT_WRITE_FAILED), 0);
+
+        // The checkpoint directory disappears under the running job.
+        std::fs::remove_dir_all(&root).expect("remove checkpoint root");
+        let report = service.run_to_completion();
+        let job = report.job("orphan").unwrap();
+        assert_eq!(job.state, JobState::Completed);
+        assert_eq!((job.steps_done, job.restarts), (10, 0));
+        // Steps 4, 6 and 8 each tried and failed; none at completion.
+        assert_eq!(tracer.counter_total(names::CKPT_WRITE_FAILED), 3);
+        assert_eq!(tracer.spans_named(names::CHECKPOINT_WRITE).len(), 4);
+        // The spans surface in the service trace under the job's name.
+        assert!(service.chrome_trace_json().contains("\"orphan/ckpt\""));
+    }
+}

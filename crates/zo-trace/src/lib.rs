@@ -73,6 +73,14 @@ pub mod names {
     pub const TIER_TRAFFIC_BYTES: &str = "tier_traffic_bytes";
     /// Gauge: peak DRAM scratch bytes held by the tiered optimizer.
     pub const TIER_HWM_BYTES: &str = "tier_hwm_bytes";
+    /// Span: one rank's checkpoint file captured, encoded and published
+    /// (or failing to be) by the job service.
+    pub const CHECKPOINT_WRITE: &str = "checkpoint.write";
+    /// Counter: bytes of checkpoint files published.
+    pub const CKPT_BYTES: &str = "ckpt_bytes";
+    /// Counter: checkpoint files that could not be written; the job keeps
+    /// stepping and a restart falls back to an older set.
+    pub const CKPT_WRITE_FAILED: &str = "ckpt.write_failed";
 }
 
 /// One completed interval on a track (microseconds since the epoch).

@@ -184,11 +184,27 @@ leg_criterion_artifact() {
 # `bench/` is a workspace of its own that nothing above compiles, so an
 # API or behaviour change that stops it building, or trips one of its
 # correctness checks (NVMe trajectory == DRAM trajectory, zero failed
-# steps, ...), would first be seen by the perf pipeline. The smoke run
-# builds it and runs every workload once; it gates on the exit status
-# only, never on a speed number.
+# steps, ...), would first be seen by the perf pipeline. This leg runs
+# what that pipeline runs: the build and every workload once (--quick),
+# bench/'s self-tests (they build a `ServiceReport` by literal, so a new
+# public field fails here), and `serve-mixed` at full length untraced and
+# traced — five checkpoints including two-rank sets, and the service
+# trace parsed track by track, which --quick's single one-rank checkpoint
+# does not reach. It gates on exit status and on the `"correct":true` of
+# each run's last stdout line, never on a speed number.
 leg_bench_smoke() {
     bench/run.sh --quick
+    cargo test --release --offline --manifest-path bench/Cargo.toml
+    local bin="${CARGO_TARGET_DIR:-bench/target}/release/bench" trace out
+    for trace in 0 1; do
+        echo "   serve-mixed --seconds 15 --trace $trace"
+        if ! out=$("$bin" --workload serve-mixed --seed 1 --seconds 15 --trace "$trace") ||
+            [[ $(tail -n 1 <<<"$out") != *'"correct":true'* ]]; then
+            echo "$out"
+            echo "FAIL: serve-mixed --trace $trace did not end in \"correct\":true" >&2
+            return 1
+        fi
+    done
 }
 
 # -------------------------------------------------------------- driver
@@ -205,7 +221,7 @@ run_leg "trajectory fingerprint matrix (faults x threads x tier, stages 1 and 3)
 run_leg "benchmark fingerprint artifact (BENCH_fingerprint.json)" leg_fingerprint_artifact
 run_leg "kernel perf trajectory artifact (BENCH_kernels.json)" leg_kernel_artifact
 run_leg "criterion bench sweep artifact (BENCH_criterion.json)" leg_criterion_artifact
-run_leg "benchmark smoke run (bench/run.sh --quick: builds, every workload correct)" leg_bench_smoke
+run_leg "benchmark smoke run (--quick, bench self-tests, full-length serve-mixed untraced and traced)" leg_bench_smoke
 
 echo
 echo "== leg wall times"

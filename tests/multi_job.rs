@@ -273,13 +273,7 @@ fn crash_resume_continues_bitwise() {
     };
 
     // First incarnation: past the step-8 checkpoint, then "crash".
-    {
-        let mut service = Service::with_checkpoint_root(2, &dir);
-        service.submit(spec()).expect("submit");
-        while service.steps_done("phoenix") < 9 {
-            assert!(service.tick(), "service stalled pre-crash");
-        }
-    }
+    run_then_crash(&dir, spec(), 9);
 
     // Second incarnation resumes from step 8 and finishes.
     let mut service = Service::with_checkpoint_root(2, &dir);
@@ -304,5 +298,142 @@ fn crash_resume_continues_bitwise() {
         "resumed run must land on the uninterrupted final parameters bitwise"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `spec` under a service rooted at `dir` until it has applied
+/// `until` steps, then drops the service mid-run — a crash, as far as the
+/// checkpoint directory can tell.
+fn run_then_crash(dir: &std::path::Path, spec: JobSpec, until: usize) {
+    let name = spec.name.clone();
+    let mut service = Service::with_checkpoint_root(2, dir);
+    service.submit(spec).expect("submit");
+    while service.steps_done(&name) < until {
+        assert!(service.tick(), "service stalled pre-crash");
+    }
+}
+
+/// A two-rank job checkpointing every 4 of its 12 steps.
+fn hydra_spec() -> JobSpec {
+    let mut spec = zero2_spec("hydra", 12, 2, DataMode::Sliced);
+    spec.checkpoint_every = 4;
+    spec
+}
+
+/// The final parameters of `spec` run alone, fault-free, uninterrupted.
+fn solo_master(mut spec: JobSpec) -> Vec<f32> {
+    spec.faults = Some(FaultPlan::disabled());
+    spec.checkpoint_every = 0;
+    run_solo(spec).master
+}
+
+/// Crash-resume falls back: whatever is wrong with the newest checkpoint
+/// set — a rank's file torn, bit-rotted, missing, or of another format
+/// version — the job resumes from the next-newest set that decodes and
+/// still finishes on the uninterrupted trajectory, bitwise.
+#[test]
+fn damaged_newest_checkpoint_set_falls_back_to_the_older_one() {
+    type Damage = fn(&std::path::Path);
+    let damages: [(&str, Damage); 4] = [
+        ("rank 1 torn in half", |set| {
+            let path = set.with_extension("rank1.ckpt");
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        }),
+        ("rank 1 with a flipped payload bit", |set| {
+            let path = set.with_extension("rank1.ckpt");
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x08;
+            std::fs::write(&path, &bytes).unwrap();
+        }),
+        ("rank 0 missing", |set| {
+            std::fs::remove_file(set.with_extension("rank0.ckpt")).unwrap();
+        }),
+        ("rank 0 of file version 2", |set| {
+            let path = set.with_extension("rank0.ckpt");
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+        }),
+    ];
+    let solo = solo_master(hydra_spec());
+    for (i, (what, damage)) in damages.iter().enumerate() {
+        let dir = scratch_dir(&format!("fallback{i}"));
+        run_then_crash(&dir, hydra_spec(), 9); // sets at steps 4 and 8
+        damage(&dir.join("hydra/step000008"));
+
+        let mut service = Service::with_checkpoint_root(2, &dir);
+        service
+            .submit(hydra_spec())
+            .unwrap_or_else(|e| panic!("{what}: a damaged newest set failed the submit: {e}"));
+        assert_eq!(
+            service.steps_done("hydra"),
+            4,
+            "{what}: must resume from the older set"
+        );
+        let report = service.run_to_completion();
+        let job = report.job("hydra").unwrap();
+        assert_eq!(job.state, JobState::Completed, "{what}");
+        assert_eq!(job.steps_done, 12, "{what}");
+        assert_eq!(job.master, solo, "{what}: resumed trajectory moved");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A checkpoint directory holding only files of an older format version
+/// (here: every file re-stamped version 2) does not fail the submit: no
+/// set decodes, so the job runs from step 0.
+#[test]
+fn directory_of_old_version_files_starts_from_scratch() {
+    let dir = scratch_dir("old_version");
+    run_then_crash(&dir, hydra_spec(), 9);
+    let mut stamped = 0;
+    for entry in std::fs::read_dir(dir.join("hydra")).unwrap() {
+        let path = entry.unwrap().path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        stamped += 1;
+    }
+    assert_eq!(stamped, 4, "two sets of two ranks");
+
+    let mut service = Service::with_checkpoint_root(2, &dir);
+    service
+        .submit(hydra_spec())
+        .expect("old-version files must not fail the submit");
+    assert_eq!(service.steps_done("hydra"), 0);
+    let report = service.run_to_completion();
+    let job = report.job("hydra").unwrap();
+    assert_eq!(job.state, JobState::Completed);
+    assert_eq!(job.master, solo_master(hydra_spec()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `.tmp` left by a crash mid-write was never published: it is not a
+/// checkpoint (even when its bytes are a whole, valid, newer one), and
+/// submit sweeps it away.
+#[test]
+fn leftover_tmp_file_is_not_chosen_and_is_removed_at_submit() {
+    let dir = scratch_dir("stale_tmp");
+    let mut spec = single_spec("phoenix", 12);
+    spec.checkpoint_every = 4;
+    run_then_crash(&dir, spec.clone(), 9);
+    let job_dir = dir.join("phoenix");
+    // The step-8 file goes back to being an unpublished temporary.
+    let tmp = job_dir.join("step000008.rank0.ckpt.tmp");
+    std::fs::rename(job_dir.join("step000008.rank0.ckpt"), &tmp).unwrap();
+
+    let mut service = Service::with_checkpoint_root(2, &dir);
+    service.submit(spec.clone()).expect("resubmit");
+    assert_eq!(service.steps_done("phoenix"), 4);
+    assert!(!tmp.exists(), "submit must remove the stale temporary");
+    let report = service.run_to_completion();
+    assert_eq!(report.job("phoenix").unwrap().master, solo_master(spec));
+    // Every file the finished job left is a published checkpoint.
+    for entry in std::fs::read_dir(&job_dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(name.ends_with(".ckpt"), "{name}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

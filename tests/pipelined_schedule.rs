@@ -227,8 +227,9 @@ fn dpu_update_overlaps_next_steps_backward() {
 
 /// A checkpoint taken while the optimizer thread still holds an in-flight
 /// update must capture the delayed-update semantics exactly: the stashed
-/// gradient is saved, the snapshot round-trips through JSON bit-exactly,
-/// and the resumed run matches an uninterrupted one bitwise.
+/// gradient is saved, the snapshot round-trips through the checkpoint file
+/// format bit-exactly, and the resumed run matches an uninterrupted one
+/// bitwise.
 #[test]
 fn checkpoint_with_update_in_flight_resumes_bitwise() {
     let dpu_cfg = ZeroOffloadConfig {
@@ -265,10 +266,10 @@ fn checkpoint_with_update_in_flight_resumes_bitwise() {
     );
     // Dropping the engine drains the in-flight update cleanly; the saved
     // snapshot must not be affected by it (it excludes in-flight work).
-    let json = serde_json::to_string(&ckpt).unwrap();
+    let bytes = zero_offload::encode_checkpoint_bytes(&ckpt);
     drop(first);
-    let reloaded: zero_offload::TrainingCheckpoint = serde_json::from_str(&json).unwrap();
-    assert_eq!(reloaded, ckpt, "checkpoint JSON round-trip drifted");
+    let reloaded = zero_offload::decode_checkpoint_bytes(&bytes).unwrap();
+    assert_eq!(reloaded, ckpt, "checkpoint file round-trip drifted");
 
     let mut resumed = ZeroOffloadEngine::new(GptModel::new(GPT_SMALL, 1), dpu_cfg);
     resumed.restore_checkpoint(&reloaded).unwrap();
