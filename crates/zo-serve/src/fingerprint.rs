@@ -1,21 +1,23 @@
 //! Trajectory fingerprints over job runs.
 //!
-//! Same construction as `zo_bench::trajectory`: FNV-1a over each step's
-//! loss bit pattern, then the final fp32 master parameters. `zo-bench`
-//! depends on this crate (not vice versa), so the hasher lives here and
-//! the tests cross-check both implementations agree.
+//! FNV-1a over each step's loss bit pattern, then the final fp32 master
+//! parameters. This is the workspace's one copy of the hash: a job's
+//! [`crate::JobReport`] carries it, and `zo_bench::trajectory` computes
+//! the pinned trajectory fingerprint with the same function, so a job
+//! that replays the pinned run reports exactly the pinned value
+//! (`tests/multi_job.rs` checks that).
 
 /// FNV-1a over a byte stream: stable, dependency-free, order-sensitive.
-pub struct Fnv(u64);
+struct Fnv(u64);
 
 impl Fnv {
     /// Creates a hasher with the standard FNV-1a offset basis.
-    pub fn new() -> Fnv {
+    fn new() -> Fnv {
         Fnv(0xcbf29ce484222325)
     }
 
     /// Absorbs `bytes` into the hash.
-    pub fn write(&mut self, bytes: &[u8]) {
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x100000001b3);
@@ -23,14 +25,8 @@ impl Fnv {
     }
 
     /// The current hash value.
-    pub fn finish(&self) -> u64 {
+    fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv::new()
     }
 }
 

@@ -41,7 +41,7 @@ mod scheduler;
 mod service;
 mod spec;
 
-pub use fingerprint::{fingerprint_run, Fnv};
+pub use fingerprint::fingerprint_run;
 pub use job::{JobError, JobReport, JobState};
 pub use scheduler::{ScheduleEntry, Scheduler};
 pub use service::{run_solo, Service, ServiceReport};
