@@ -320,7 +320,7 @@ pub fn decode_checkpoint_bytes(bytes: &[u8]) -> Result<TrainingCheckpoint, Check
 impl<M: Model> ZeroOffloadEngine<M> {
     /// Captures the current training state.
     pub fn save_checkpoint(&self) -> TrainingCheckpoint {
-        self.pipe().capture_state()
+        self.pipe.capture_state()
     }
 
     /// Restores a checkpoint saved by an engine of the same configuration.
@@ -329,9 +329,8 @@ impl<M: Model> ZeroOffloadEngine<M> {
     /// parameters, so the next step continues the original trajectory
     /// exactly (verified bitwise by the resume tests).
     pub fn restore_checkpoint(&mut self, ckpt: &TrainingCheckpoint) -> Result<(), CheckpointError> {
-        self.pipe_mut().restore_state(ckpt)?;
-        self.sync_model_params();
-        Ok(())
+        self.pipe.restore_state(ckpt)?;
+        self.sync_model_params().map_err(CheckpointError::Fault)
     }
 
     /// Writes the framed checkpoint file at `path`.
@@ -348,7 +347,7 @@ impl<M: Model> ZeroOffloadEngine<M> {
         let bytes = encode_checkpoint_bytes(&self.save_checkpoint());
         let tracer = self.tracer().clone();
         let gate = zo_fault::with_retry(
-            self.faults_mut(),
+            &mut self.pipe.faults,
             zo_fault::Site::CheckpointWrite,
             &tracer,
             "checkpoint",

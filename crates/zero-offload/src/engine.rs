@@ -1,4 +1,5 @@
-//! The real-execution ZeRO-Offload engine (single accelerator).
+//! The real-execution ZeRO-Offload engine and its one data-parallel
+//! placement.
 //!
 //! Runs actual training with the paper's data placement faithfully
 //! emulated: the model computes forward/backward on **fp16-rounded
@@ -11,23 +12,30 @@
 //! thread overlapped with the next step's forward/backward.
 //!
 //! The step state machine itself lives in [`crate::pipeline`]; this module
-//! supplies the full-replica [`Placement`] (everything moves as one piece)
-//! and the public engine type. The engine is generic over [`Model`], so
-//! the same code trains the GPT LM of Fig. 12 and the classifier of
-//! Fig. 13.
+//! supplies the one [`Placement`] it runs over and the public engine type.
+//! The paper's single-GPU schedule (Sec. 4.1) is the one-rank case of its
+//! ZeRO-2 schedule (Sec. 4.2): [`ZeroOffloadEngine::new`] places the model
+//! over a one-rank [`Communicator`], whose collectives are never entered,
+//! and the ZeRO-2/3 rank engines ([`crate::Zero2OffloadEngine`],
+//! [`crate::Zero3OffloadEngine`]) wrap the same engine over a real group.
+//! The engine is generic over [`Model`], so the same code trains the GPT
+//! LM of Fig. 12 and the classifier of Fig. 13.
 
+use core::ops::Range;
+
+use zo_collectives::{partition_range, Communicator};
 use zo_fault::{lane, with_retry, FaultError, FaultSession, Site};
 use zo_nn::Model;
-use zo_optim::{clip, AdamState, DynamicLossScaler};
+use zo_optim::{clip, DynamicLossScaler};
 use zo_tensor::{cast_f32_to_f16, F16};
 use zo_trace::Tracer;
 
 use crate::bucket::{scatter_frame, GradBucketer};
-use crate::config::{resolve_fault_plan, resolve_tracer, OffloadDevice, ZeroOffloadConfig};
-use crate::pipeline::{
-    build_offload_updater, GradStream, Placement, StepError, StepPipeline, Updater,
-};
-use crate::wire::{decode_frame_traced, ship_frame};
+use crate::checkpoint::{CheckpointError, TrainingCheckpoint};
+use crate::config::{resolve_fault_plan, resolve_tracer, ZeroOffloadConfig};
+use crate::pipeline::{build_updater, GradStream, StepError, StepPipeline};
+use crate::wire::decode_frame_traced;
+use crate::zero3::{Residency, Zero3Cache, Zero3Plan};
 
 /// What a call to [`ZeroOffloadEngine::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,79 +85,114 @@ pub struct EngineStats {
     pub frames: u64,
 }
 
-/// Ships the staged frames, validates each and widens·unscales it straight
-/// into its span of the host gradient buffer, and updates traffic counters
-/// and memory high-water marks — the tail of the gradient offload shared
-/// by the streamed and post-hoc transfer paths.
+/// Which engine stage a placement serves. The stage fixes the trace
+/// names and whether parameters are partitioned; the world size alone
+/// decides whether collectives run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// The single-accelerator engine (always world 1).
+    Single,
+    /// ZeRO-2: every rank keeps a full fp16 replica.
+    Zero2,
+    /// ZeRO-3: every rank keeps its fp16 shard plus what the gather/release
+    /// schedule materialises.
+    Zero3,
+}
+
+/// Widens `p16` exactly into the reusable buffer `out`.
+fn widen(p16: &[F16], out: &mut Vec<f32>) {
+    out.resize(p16.len(), 0.0);
+    F16::to_f32_slice(p16, out);
+}
+
+/// The one data-parallel placement: where one rank's parameters,
+/// gradients and optimizer state live and how they move between device,
+/// link and host.
 ///
-/// With a fault session, every frame passes the `wire.d2h` gate (bounded
-/// retry; fatal faults abort the transfer with a typed error). Pass `None`
-/// when the frames already crossed a gate — the streamed path gates each
-/// slice at push time, and the degraded post-hoc retransmission models
-/// recovery *after* the faulty window.
-fn finish_offload(
-    bucketer: &mut GradBucketer,
-    grads: &mut [f32],
-    scale: f32,
-    stats: &mut EngineStats,
-    tracer: &Tracer,
-    mut faults: Option<&mut FaultSession>,
-) -> Result<(), FaultError> {
-    bucketer.flush();
-    let unscale = Some(1.0 / scale);
-    for raw in bucketer.take_frames() {
-        let raw = match faults.as_deref_mut() {
-            Some(session) => ship_frame(raw, session, tracer, "pcie")?,
-            None => raw,
-        };
-        let frame =
-            decode_frame_traced(tracer, "pcie", raw).expect("loopback frames are well-formed");
-        scatter_frame(&frame, grads, unscale);
-    }
-    stats.d2h_bytes += bucketer.payload_bytes();
-    stats.wire_bytes += bucketer.wire_bytes();
-    stats.frames += u64::from(bucketer.frames_emitted());
-    tracer.add("pcie", "d2h_bytes", bucketer.payload_bytes());
-    // Memory high-water marks: fp16 parameters + the transient staging
-    // bucket on the device; master + Adam moments + fp32 gradient buffer
-    // on the host.
-    let n = grads.len() as f64;
-    tracer.gauge_max("gpu_hwm_bytes", 2.0 * n + bucketer.wire_bytes() as f64);
-    tracer.gauge_max("cpu_hwm_bytes", 16.0 * n);
-    Ok(())
-}
-
-/// The single-accelerator placement: one full fp16 replica on the device,
-/// the whole fp32 state on the host, gradients crossing "PCIe" in layer
-/// buckets (streamed from backward when armed, post hoc otherwise).
-pub(crate) struct ReplicaPlacement {
+/// The rank owns the contiguous [`partition_range`] shard of the flat
+/// parameters — all of them at world 1. Gradients are reduce-scattered to
+/// the owner (at world > 1), cross the link as checksummed fp16 frames,
+/// and the owner's updated fp16 shard comes back to the model: over the
+/// link at world 1, by all-gather otherwise, or as the owned slice of a
+/// ZeRO-3 gather/release schedule when `residency` is set.
+pub(crate) struct Placement {
+    comm: Communicator,
+    /// Flat parameter range this rank owns.
+    own: Range<usize>,
+    /// Total parameter count.
+    total: usize,
     /// Flat offset ranges of each layer bucket, in canonical order.
-    layer_ranges: Vec<core::ops::Range<usize>>,
+    layer_ranges: Vec<Range<usize>>,
     bucket_bytes: usize,
-    /// fp32 widening scratch for the h2d parameter copy, reused.
+    /// The sharded ranks' one trace track, `rank{r}`; `None` for the
+    /// single engine, which writes the paper's device/link/host tracks.
+    rank_track: Option<String>,
+    /// Full-model gradient staging for the reduce-scatter; empty at
+    /// world 1, where gradients are copied straight into the optimizer
+    /// input.
+    full_grads: Vec<f32>,
+    /// fp32 widening of the owned fp16 parameters, reused.
     widened: Vec<f32>,
+    /// ZeRO-3's gather/release schedule; `None` keeps a full replica.
+    residency: Option<Residency>,
 }
 
-impl ReplicaPlacement {
-    /// Loads the fp16 view into the model through the reusable widening
-    /// scratch (no per-step allocation).
-    fn load_model<M: Model>(&mut self, model: &mut M, p16: &[F16]) {
-        self.widened.resize(p16.len(), 0.0);
-        F16::to_f32_slice(p16, &mut self.widened);
-        model.load_params_from(&self.widened);
-    }
-}
-
-impl<M: Model> Placement<M> for ReplicaPlacement {
-    fn fwd_track(&self) -> &str {
-        "gpu"
+impl Placement {
+    /// The track the single engine calls `single` (`gpu`, `pcie`, `cpu`
+    /// or `engine`), or this rank's track.
+    pub(crate) fn track<'a>(&'a self, single: &'a str) -> &'a str {
+        self.rank_track.as_deref().unwrap_or(single)
     }
 
-    fn counter_track(&self) -> &str {
-        "engine"
+    /// A span name: the single engine's, or the sharded ranks'.
+    pub(crate) fn name(&self, single: &'static str, sharded: &'static str) -> &'static str {
+        if self.rank_track.is_none() {
+            single
+        } else {
+            sharded
+        }
     }
 
-    fn transfer(
+    /// Whether this rank closes the tracer step boundary. `StepMetrics`
+    /// sums counter deltas over tracks, so rank 0's row covers every rank.
+    pub(crate) fn closes_step(&self) -> bool {
+        self.comm.rank() == 0
+    }
+
+    /// Materialises what the upcoming forward/backward needs: the ZeRO-3
+    /// gather/release schedule (gated by the `collective.param_allgather`
+    /// and `param.release` sites); nothing for a full replica.
+    pub(crate) fn pre_forward<M: Model>(
+        &mut self,
+        model: &mut M,
+        p16: &[F16],
+        tracer: &Tracer,
+    ) -> Result<(), FaultError> {
+        let Some(residency) = &mut self.residency else {
+            return Ok(());
+        };
+        widen(p16, &mut self.widened);
+        residency.micro_batch(&self.comm, model, &self.widened, tracer)
+    }
+
+    /// Moves this rank's gradients off the device into `grads` (its owned
+    /// shard), applying loss-scale fp16 rounding. Returns the *local*
+    /// overflow flag; an `Err` is a fatal or retry-exhausted fault.
+    ///
+    /// A streamed window (world 1 only) already crossed the wire from
+    /// inside backward; only the tail remains. Otherwise the gradients are
+    /// copied out — reduce-scattered in f32 at world > 1, so the rank
+    /// receives its averaged shard — and each layer bucket's owned piece
+    /// is pushed through the bucketer in backward order (head first,
+    /// blocks reversed, embeddings last: the order they become ready in
+    /// Sec. 4.1), framed, verified and widened·unscaled into `grads`.
+    ///
+    /// Every layer bucket passes the `wire.d2h` gate before its push,
+    /// whether this rank owns a piece of it or not, so all ranks draw the
+    /// gate equally often and — on the shared engine lane — agree on every
+    /// decision.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn transfer<M: Model>(
         &mut self,
         model: &mut M,
         grads: &mut [f32],
@@ -161,45 +204,104 @@ impl<M: Model> Placement<M> for ReplicaPlacement {
         faults: &mut FaultSession,
     ) -> Result<bool, FaultError> {
         if let Some(start) = stream.take_streamed() {
-            // The gradients already crossed the wire from inside backward
-            // (each slice passed the gate at push time); only the tail
-            // (final flush, reassembly, unscale) remains.
             let mut bucketer = core::mem::replace(&mut stream.bucketer, GradBucketer::new(2));
-            finish_offload(&mut bucketer, grads, scale, stats, tracer, None)?;
+            self.finish_offload(&mut bucketer, grads, scale, stats, tracer);
             let end = tracer.now_us();
-            tracer.record_span("pcie", "grad_offload", start, end.saturating_sub(start));
+            tracer.record_span(
+                self.track("pcie"),
+                self.name("grad_offload", "reduce_scatter"),
+                start,
+                end.saturating_sub(start),
+            );
             return Ok(stream.overflow);
         }
         // A poisoned stream means the mid-backward transfer died; this
         // post-hoc pass is the *recovery* retransmission after backward
         // completed, so it bypasses the wire gate.
-        let degraded = stream.take_poisoned();
-        // Post-hoc transfer: scale, cast to fp16, pack the layer spans into
-        // wire frames in backward order (head bucket first, blocks
-        // reversed, embeddings last — the order they become ready in
-        // Sec. 4.1), ship, validate, scatter into host memory.
-        let _transfer = tracer.span("pcie", "grad_offload");
-        model.copy_grads_to(grads);
-        let mut overflow = false;
-        let mut bucketer = GradBucketer::traced(self.bucket_bytes, tracer.clone(), "pcie");
-        for range in self.layer_ranges.iter().rev() {
-            overflow |=
-                bucketer.push_grads(range.start as u64, &grads[range.clone()], denom, scale);
+        let mut gate = (!stream.take_poisoned()).then_some(faults);
+        let _transfer = tracer.span(
+            self.track("pcie"),
+            self.name("grad_offload", "reduce_scatter"),
+        );
+        if self.comm.world() > 1 {
+            model.copy_grads_to(&mut self.full_grads);
+            let shard = self.comm.try_reduce_scatter_mean(&self.full_grads)?;
+            grads.copy_from_slice(&shard);
+        } else {
+            model.copy_grads_to(grads);
         }
-        let gate = if degraded { None } else { Some(faults) };
-        finish_offload(&mut bucketer, grads, scale, stats, tracer, gate)?;
+        let (lo, hi) = (self.own.start, self.own.end);
+        let mut overflow = false;
+        let mut bucketer =
+            GradBucketer::traced(self.bucket_bytes, tracer.clone(), self.track("pcie"));
+        for range in self.layer_ranges.iter().rev() {
+            if let Some(session) = gate.as_deref_mut() {
+                with_retry(session, Site::WireD2h, tracer, self.track("pcie"), || ())?;
+            }
+            let piece = range.start.clamp(lo, hi) - lo..range.end.clamp(lo, hi) - lo;
+            if !piece.is_empty() {
+                overflow |= bucketer.push_grads(piece.start as u64, &grads[piece], denom, scale);
+            }
+        }
+        self.finish_offload(&mut bucketer, grads, scale, stats, tracer);
         Ok(overflow)
     }
 
-    fn clip_grads(&mut self, grads: &mut [f32], max_norm: f64) {
-        clip::clip_global_norm(&mut [grads], max_norm);
+    /// Closes the bucketer, validates each staged frame and widens·unscales
+    /// it straight into its span of `grads`, and updates traffic counters
+    /// and memory high-water marks — the tail of the gradient offload
+    /// shared by the streamed and post-hoc transfers.
+    fn finish_offload(
+        &self,
+        bucketer: &mut GradBucketer,
+        grads: &mut [f32],
+        scale: f32,
+        stats: &mut EngineStats,
+        tracer: &Tracer,
+    ) {
+        bucketer.flush();
+        let unscale = Some(1.0 / scale);
+        for raw in bucketer.take_frames() {
+            let frame = decode_frame_traced(tracer, self.track("pcie"), raw)
+                .expect("loopback frames are well-formed");
+            scatter_frame(&frame, grads, unscale);
+        }
+        stats.d2h_bytes += bucketer.payload_bytes();
+        stats.wire_bytes += bucketer.wire_bytes();
+        stats.frames += u64::from(bucketer.frames_emitted());
+        tracer.add(self.track("pcie"), "d2h_bytes", bucketer.payload_bytes());
+        // Memory high-water marks: fp16 parameters + the transient staging
+        // bucket on the device; master + Adam moments + fp32 gradient buffer
+        // on the host.
+        let n = grads.len() as f64;
+        tracer.gauge_max("gpu_hwm_bytes", 2.0 * n + bucketer.wire_bytes() as f64);
+        tracer.gauge_max("cpu_hwm_bytes", 16.0 * n);
     }
 
-    fn update_span(&self) -> (&str, &str) {
-        ("cpu", "cpu_adam")
+    /// Folds the local overflow flag across the group, so every rank
+    /// skips (or applies) the same step.
+    pub(crate) fn combine_overflow(&self, local: bool) -> bool {
+        self.comm.all_reduce_sum_f64(f64::from(u8::from(local))) > 0.0
     }
 
-    fn publish(
+    /// Global-norm clipping over the shards: each rank's f64 sum of
+    /// squares, added in rank order by the scalar all-reduce, then one
+    /// factor on every rank — at world 1 exactly
+    /// [`clip::clip_global_norm`].
+    pub(crate) fn clip_grads(&self, grads: &mut [f32], max_norm: f64) {
+        let norm = self
+            .comm
+            .all_reduce_sum_f64(clip::sum_squares(grads))
+            .sqrt();
+        clip::clip_to_norm(&mut [grads], norm, max_norm);
+    }
+
+    /// Publishes the owned fp16 parameters back into the model. At world 1
+    /// they cross the link behind the `wire.h2d` gate; at world > 1 the
+    /// all-gather is the copy-back (gated by `collective.allgather` on the
+    /// communicator's shared session); with ZeRO-3 residency the owned
+    /// slice is loaded and the cache refreshed from the new shards.
+    pub(crate) fn publish<M: Model>(
         &mut self,
         model: &mut M,
         p16: &[F16],
@@ -207,34 +309,87 @@ impl<M: Model> Placement<M> for ReplicaPlacement {
         tracer: &Tracer,
         faults: &mut FaultSession,
     ) -> Result<(), FaultError> {
-        let _copy = tracer.span("pcie", "param_copy_back");
-        // The h2d gate sits *before* the model sees the new parameters: a
-        // fatal fault here is the "killed between DPU update and copy-back"
-        // crash point the recovery tests exercise.
-        with_retry(faults, Site::WireH2d, tracer, "pcie", || ())?;
-        stats.h2d_bytes += 2 * p16.len() as u64;
-        tracer.add("pcie", "h2d_bytes", 2 * p16.len() as u64);
-        self.load_model(model, p16);
-        Ok(())
+        widen(p16, &mut self.widened);
+        if self.residency.is_some() {
+            model.load_param_range(self.own.clone(), &self.widened);
+        } else {
+            let _copy = tracer.span(
+                self.track("pcie"),
+                self.name("param_copy_back", "all_gather"),
+            );
+            if self.comm.world() == 1 {
+                // The h2d gate sits *before* the model sees the new
+                // parameters: a fatal fault here is the "killed between DPU
+                // update and copy-back" crash point the recovery tests
+                // exercise.
+                with_retry(faults, Site::WireH2d, tracer, self.track("pcie"), || ())?;
+                model.load_params_from(&self.widened);
+            } else {
+                let full = self.comm.try_all_gather(&self.widened, self.total)?;
+                model.load_params_from(&full);
+            }
+        }
+        let h2d = 2 * p16.len() as u64;
+        stats.h2d_bytes += h2d;
+        tracer.add(self.track("pcie"), "h2d_bytes", h2d);
+        match &mut self.residency {
+            Some(residency) => residency.refresh(&self.comm, model, &self.widened, tracer),
+            None => Ok(()),
+        }
     }
 
-    fn on_skip(
+    /// The step boundary of an overflow-skipped step. Parameters are
+    /// unchanged, so a one-rank replica has nothing to publish; ranks
+    /// re-run the copy-back collectives to stay in lock-step, and ZeRO-3
+    /// re-establishes its between-steps residency.
+    pub(crate) fn on_skip<M: Model>(
         &mut self,
-        _model: &mut M,
-        _p16: &[F16],
-        _stats: &mut EngineStats,
-        _tracer: &Tracer,
+        model: &mut M,
+        p16: &[F16],
+        stats: &mut EngineStats,
+        tracer: &Tracer,
+        faults: &mut FaultSession,
     ) -> Result<(), FaultError> {
-        // Parameters unchanged; nothing to publish.
+        if self.comm.world() == 1 && self.residency.is_none() {
+            return Ok(());
+        }
+        self.publish(model, p16, stats, tracer, faults)
+    }
+
+    /// Loads the model's device view of the owned fp16 parameters at
+    /// construction and after a restore: the full replica at world 1
+    /// (untraced — no step is running), the all-gathered replica at
+    /// world > 1 (a collective: every rank must call it), and with ZeRO-3
+    /// residency a cold cache and a model holding only the owned shard.
+    fn reload<M: Model>(
+        &mut self,
+        model: &mut M,
+        p16: &[F16],
+        stats: &mut EngineStats,
+        tracer: &Tracer,
+        faults: &mut FaultSession,
+    ) -> Result<(), FaultError> {
+        if self.comm.world() > 1 && self.residency.is_none() {
+            // The all-gather never draws the step's own session.
+            return self.publish(model, p16, stats, tracer, faults);
+        }
+        widen(p16, &mut self.widened);
+        match &mut self.residency {
+            Some(residency) => residency.reset(model, &self.widened),
+            None => model.load_params_from(&self.widened),
+        }
         Ok(())
     }
 }
 
-/// A training engine applying the ZeRO-Offload single-GPU schedule.
+/// A training engine applying the ZeRO-Offload schedule. Built with
+/// [`ZeroOffloadEngine::new`] it is the single-accelerator engine; the
+/// ZeRO-2/3 rank engines each wrap one over their rank's communicator.
 pub struct ZeroOffloadEngine<M: Model> {
     model: M,
-    pipe: StepPipeline,
-    placement: ReplicaPlacement,
+    /// The step pipeline (checkpoint state lives there).
+    pub(crate) pipe: StepPipeline,
+    placement: Placement,
     stream: GradStream,
 }
 
@@ -244,31 +399,74 @@ impl<M: Model> ZeroOffloadEngine<M> {
     /// The model's initial parameters become the fp32 master copy; the
     /// model itself is immediately switched to their fp16 rounding, as a
     /// GPU would hold them.
-    pub fn new(mut model: M, cfg: ZeroOffloadConfig) -> ZeroOffloadEngine<M> {
+    pub fn new(model: M, cfg: ZeroOffloadConfig) -> ZeroOffloadEngine<M> {
+        let comm = Communicator::group(1).pop().expect("a one-rank group");
+        ZeroOffloadEngine::on_rank(model, cfg, comm, Stage::Single)
+    }
+
+    /// Builds `comm`'s rank of a `stage` group. The rank's shard of the
+    /// model's initial parameters becomes its fp32 master copy, and the
+    /// model is switched to the fp16 view the stage keeps on the device.
+    /// At world > 1 every rank must construct concurrently, from
+    /// identically initialized models (ZeRO-2 all-gathers here).
+    pub(crate) fn on_rank(
+        mut model: M,
+        cfg: ZeroOffloadConfig,
+        comm: Communicator,
+        stage: Stage,
+    ) -> ZeroOffloadEngine<M> {
         let n = model.num_params();
+        let (world, rank) = (comm.world(), comm.rank());
+        let own = partition_range(n, world, rank);
         let layer_ranges = model.layer_ranges();
         let mut master = vec![0.0f32; n];
         model.copy_params_to(&mut master);
-        let mut p16 = vec![F16::ZERO; n];
+        if world > 1 {
+            master = master[own.clone()].to_vec();
+        }
+        let mut p16 = vec![F16::ZERO; own.len()];
         cast_f32_to_f16(&master, &mut p16);
         let tracer = resolve_tracer(cfg.tracer);
+        let rank_track = (stage != Stage::Single).then(|| format!("rank{rank}"));
 
-        let updater = match cfg.offload {
-            OffloadDevice::None => Updater::Reference(AdamState::new(n), cfg.adam),
-            OffloadDevice::Cpu => build_offload_updater(&cfg, &master, &tracer, "optimizer"),
+        let track = match &rank_track {
+            Some(rank) => format!("{rank}_optimizer"),
+            None => "optimizer".into(),
         };
-        let placement = ReplicaPlacement {
-            layer_ranges: layer_ranges.clone(),
-            bucket_bytes: cfg.bucket_bytes,
-            widened: Vec::new(),
-        };
+        let updater = build_updater(&cfg, &master, &tracer, &track);
         let plan = resolve_fault_plan(cfg.faults);
-        let mut stream = GradStream::new(tracer.clone(), layer_ranges, cfg.bucket_bytes);
-        stream.set_faults(FaultSession::new(plan.clone(), lane::STREAM));
+        let stream = GradStream::new(
+            tracer.clone(),
+            layer_ranges.clone(),
+            cfg.bucket_bytes,
+            FaultSession::new(plan.clone(), lane::STREAM),
+        );
+        let residency = (stage == Stage::Zero3).then(|| {
+            let plan = Zero3Plan::new(
+                layer_ranges.clone(),
+                n,
+                world,
+                rank,
+                cfg.prefetch_layers,
+                cfg.persistent_param_bytes,
+            );
+            Residency::new(plan, rank)
+        });
+        let placement = Placement {
+            comm,
+            total: n,
+            layer_ranges,
+            bucket_bytes: cfg.bucket_bytes,
+            rank_track,
+            full_grads: if world > 1 { vec![0.0; n] } else { Vec::new() },
+            widened: Vec::new(),
+            residency,
+            own,
+        };
         let pipe = StepPipeline {
+            grads: vec![0.0f32; master.len()],
             master,
             p16,
-            grads: vec![0.0f32; n],
             updater,
             scaler: DynamicLossScaler::new(cfg.loss_scale),
             micro_in_window: 0,
@@ -277,7 +475,13 @@ impl<M: Model> ZeroOffloadEngine<M> {
             grad_accumulation: cfg.grad_accumulation,
             max_grad_norm: cfg.max_grad_norm,
             pool_base: zo_tensor::pool::global().stats(),
-            faults: FaultSession::new(plan, lane::ENGINE),
+            // All ranks share lane ENGINE (no rank offset): lock-step SPMD
+            // execution visits every site equally often in the same order,
+            // so identical lanes make identical per-rank fault decisions —
+            // a fatal `wire.d2h` or `optim.cpu_step` fault errors on
+            // *every* rank before the next collective, never deadlocking a
+            // barrier.
+            faults: FaultSession::new(plan.clone(), lane::ENGINE),
             overflow_storm_limit: cfg.overflow_storm_limit,
         };
         let mut engine = ZeroOffloadEngine {
@@ -286,7 +490,18 @@ impl<M: Model> ZeroOffloadEngine<M> {
             placement,
             stream,
         };
-        engine.sync_model_params();
+        // The communicator's fault gate is installed only *after* the
+        // initial load — construction itself is not a fault site.
+        engine
+            .sync_model_params()
+            .expect("the initial load runs before fault gates are installed");
+        if plan.is_enabled() {
+            engine.placement.comm.install_faults(
+                FaultSession::new(plan, lane::COLLECTIVE),
+                engine.pipe.tracer.clone(),
+                engine.placement.track("pcie"),
+            );
+        }
         engine
     }
 
@@ -320,24 +535,16 @@ impl<M: Model> ZeroOffloadEngine<M> {
         &self.pipe.master
     }
 
-    /// The shared step pipeline (checkpoint state lives there).
-    pub(crate) fn pipe(&self) -> &StepPipeline {
-        &self.pipe
-    }
-
-    /// Mutable access to the shared step pipeline (checkpointing).
-    pub(crate) fn pipe_mut(&mut self) -> &mut StepPipeline {
-        &mut self.pipe
-    }
-
-    /// The step-level fault session (checkpoint-write gating).
-    pub(crate) fn faults_mut(&mut self) -> &mut FaultSession {
-        &mut self.pipe.faults
-    }
-
-    /// Loads the fp16 view of the master parameters into the model.
-    pub(crate) fn sync_model_params(&mut self) {
-        self.placement.load_model(&mut self.model, &self.pipe.p16);
+    /// Loads the model's device view of the fp16 master parameters.
+    pub(crate) fn sync_model_params(&mut self) -> Result<(), FaultError> {
+        let pipe = &mut self.pipe;
+        self.placement.reload(
+            &mut self.model,
+            &pipe.p16,
+            &mut pipe.stats,
+            &pipe.tracer,
+            &mut pipe.faults,
+        )
     }
 
     /// Runs one micro-batch and, at window boundaries, the offloaded
@@ -396,6 +603,113 @@ impl<M: Model> ZeroOffloadEngine<M> {
             &mut self.stream,
             |m, s| run_backward(m, s),
         )
+    }
+}
+
+/// One data-parallel rank of a ZeRO-2 (`ZERO3 = false`) or ZeRO-3
+/// (`ZERO3 = true`) + offload training group: the one
+/// engine over the rank's communicator. A ZeRO-2 rank keeps
+/// a full fp16 replica; a ZeRO-3 rank keeps only its shard plus what the
+/// gather/release schedule materialises.
+pub struct RankEngine<M: Model, const ZERO3: bool> {
+    engine: ZeroOffloadEngine<M>,
+}
+
+impl<M: Model, const ZERO3: bool> RankEngine<M, ZERO3> {
+    /// Wraps one rank's model.
+    ///
+    /// All ranks must construct identically-initialized models (same seed)
+    /// — exactly as data-parallel training requires — and concurrently:
+    /// ZeRO-2 agrees on the initial fp16 view through the copy-back
+    /// all-gather. ZeRO-3 construction performs *no* collectives: the
+    /// model is reduced to the fp16 view of the owned shard (everything
+    /// else zeroed), and the first step's pre-forward schedule
+    /// materialises what compute needs.
+    pub fn new(model: M, cfg: ZeroOffloadConfig, comm: Communicator) -> RankEngine<M, ZERO3> {
+        let stage = if ZERO3 { Stage::Zero3 } else { Stage::Zero2 };
+        RankEngine {
+            engine: ZeroOffloadEngine::on_rank(model, cfg, comm, stage),
+        }
+    }
+
+    /// This rank.
+    pub fn rank(&self) -> usize {
+        self.engine.placement.comm.rank()
+    }
+
+    /// Group size.
+    pub fn world(&self) -> usize {
+        self.engine.placement.comm.world()
+    }
+
+    /// Cumulative counters for this rank.
+    pub fn stats(&self) -> &EngineStats {
+        self.engine.stats()
+    }
+
+    /// The wrapped model.
+    pub fn model(&self) -> &M {
+        self.engine.model()
+    }
+
+    /// Mutable access to the wrapped model.
+    pub fn model_mut(&mut self) -> &mut M {
+        self.engine.model_mut()
+    }
+
+    /// This rank's fp32 master shard.
+    pub fn master_shard(&self) -> &[f32] {
+        self.engine.master_params()
+    }
+
+    /// Flat-parameter range owned by this rank.
+    pub fn shard_range(&self) -> Range<usize> {
+        self.engine.placement.own.clone()
+    }
+
+    /// One micro-batch; at window boundaries, the partitioned update.
+    ///
+    /// All ranks must call `step` the same number of times (collectives
+    /// synchronize them).
+    pub fn step<E>(
+        &mut self,
+        run_backward: impl FnOnce(&mut M) -> Result<f32, E>,
+    ) -> Result<StepOutcome, StepError<E>> {
+        self.engine.step(run_backward)
+    }
+
+    /// Captures this rank's training state (shard-sized: master, moments,
+    /// scaler, DPU clock, counters). Every rank checkpoints its own
+    /// shard; restoring all shards restores the run.
+    pub fn save_checkpoint(&self) -> TrainingCheckpoint {
+        self.engine.save_checkpoint()
+    }
+
+    /// Restores a checkpoint saved by the same rank of an identically
+    /// configured group and reloads the model's fp16 view: ZeRO-2
+    /// all-gathers the restored shards, so **all ranks must restore
+    /// concurrently**, like [`RankEngine::step`]; ZeRO-3 restarts its
+    /// cache cold — re-gathers are value-idempotent, so a cold resume
+    /// continues the trajectory bit-identically.
+    pub fn restore_checkpoint(&mut self, ckpt: &TrainingCheckpoint) -> Result<(), CheckpointError> {
+        self.engine.restore_checkpoint(ckpt)
+    }
+}
+
+impl<M: Model> RankEngine<M, true> {
+    fn residency(&self) -> &Residency {
+        let residency = self.engine.placement.residency.as_ref();
+        residency.expect("stage 3 places with residency")
+    }
+
+    /// The rank's gather/release schedule model (replayable by tests).
+    pub fn plan(&self) -> &Zero3Plan {
+        &self.residency().plan
+    }
+
+    /// The live persistent-parameters cache state.
+    pub fn cache(&self) -> &Zero3Cache {
+        &self.residency().cache
     }
 }
 
@@ -607,12 +921,13 @@ mod tests {
 
     #[test]
     fn tier_io_failure_mid_step_surfaces_as_step_error_tier() {
+        use crate::pipeline::Updater;
         use crate::tier::{NvmeTier, TierError, TieredAdam};
         let mut engine = ZeroOffloadEngine::new(tiny_model(4), small_scale_cfg());
         // Swap in a tiered updater over a spill directory the test knows.
         let tier = NvmeTier::new().expect("spill dir");
         let dir = tier.spill_dir().to_path_buf();
-        let pipe = engine.pipe_mut();
+        let pipe = &mut engine.pipe;
         pipe.updater = Updater::Tiered(TieredAdam::new(
             Box::new(tier),
             small_scale_cfg().adam,

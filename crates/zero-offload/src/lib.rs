@@ -58,7 +58,7 @@ pub use checkpoint::{
     TrainingCheckpoint,
 };
 pub use config::{FaultsRef, OffloadDevice, TracerRef, ZeroOffloadConfig};
-pub use engine::{EngineStats, StepOutcome, ZeroOffloadEngine};
+pub use engine::{EngineStats, RankEngine, StepOutcome, ZeroOffloadEngine};
 pub use framing::{FrameError, FrameSpec};
 pub use overlap::{AsyncDpu, DpuUpdate};
 pub use perf::{IterStats, ZeroOffloadPerf};

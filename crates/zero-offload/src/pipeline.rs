@@ -1,14 +1,11 @@
-//! The shared pipelined step executor behind both training engines.
+//! The pipelined step executor behind every training engine.
 //!
-//! [`ZeroOffloadEngine`](crate::ZeroOffloadEngine) (single accelerator,
-//! full replica) and [`Zero2OffloadEngine`](crate::Zero2OffloadEngine)
-//! (ZeRO-2 shards) run the *same* step state machine — accumulation
-//! window, loss scaling, gradient transfer, overflow skip, clipping,
-//! optimizer update, fp16 copy-back. This module owns that machine once,
-//! as [`StepPipeline`], parameterized by a [`Placement`] strategy that
-//! supplies only the parts that genuinely differ: how gradients leave the
-//! device, how overflow is agreed on, and how updated parameters get back
-//! into the model.
+//! The single-accelerator engine and the ZeRO-2/3 ranks run the *same*
+//! step state machine — accumulation window, loss scaling, gradient
+//! transfer, overflow skip, clipping, optimizer update, fp16 copy-back.
+//! This module owns that machine once, as [`StepPipeline`], over the one
+//! [`Placement`] (in [`crate::engine`]) that says where data lives and
+//! how it moves.
 //!
 //! The executor also realizes the paper's two overlaps (Sec. 4.1, Fig. 6):
 //!
@@ -32,8 +29,8 @@ use zo_tensor::{cast_f32_to_f16, F16};
 use zo_trace::{names, Tracer};
 
 use crate::bucket::GradBucketer;
-use crate::config::ZeroOffloadConfig;
-use crate::engine::{EngineStats, StepOutcome};
+use crate::config::{OffloadDevice, ZeroOffloadConfig};
+use crate::engine::{EngineStats, Placement, StepOutcome};
 use crate::overlap::AsyncDpu;
 use crate::tier::{NvmeTier, TierError, TierKind, TieredAdam, TieredStepError};
 
@@ -106,94 +103,6 @@ impl<E: core::fmt::Display> core::fmt::Display for StepError<E> {
 
 impl<E: core::fmt::Display + core::fmt::Debug> std::error::Error for StepError<E> {}
 
-/// The stages of the step state machine that differ between the
-/// full-replica and the ZeRO-2 sharded placements.
-///
-/// [`StepPipeline::step`] calls these in a fixed order; implementations
-/// must not change step semantics, only *where* data lives and moves.
-pub(crate) trait Placement<M: Model> {
-    /// Track carrying the `fwd_bwd` span.
-    fn fwd_track(&self) -> &str;
-
-    /// Track carrying the `steps_applied` / `steps_skipped` counters.
-    fn counter_track(&self) -> &str;
-
-    /// Materialises whatever parameters the upcoming forward/backward
-    /// needs. A no-op for placements that keep a full replica; the stage-3
-    /// placement runs its gather/release schedule here (gated by the
-    /// `collective.param_allgather` / `param.release` fault sites).
-    fn pre_forward(
-        &mut self,
-        _model: &mut M,
-        _p16: &[F16],
-        _stats: &mut EngineStats,
-        _tracer: &Tracer,
-    ) -> Result<(), FaultError> {
-        Ok(())
-    }
-
-    /// Moves this member's gradients off the device into `grads` (sized
-    /// for the optimizer input: full model or shard), applying loss-scale
-    /// fp16 rounding. Returns the *local* overflow flag. Transfer-layer
-    /// fault sites (`wire.d2h`, `collective.reduce_scatter`) are consulted
-    /// through `faults`; transients are retried internally, so an `Err`
-    /// is always fatal or retry-exhausted.
-    #[allow(clippy::too_many_arguments)]
-    fn transfer(
-        &mut self,
-        model: &mut M,
-        grads: &mut [f32],
-        scale: f32,
-        denom: f32,
-        stream: &mut GradStream,
-        stats: &mut EngineStats,
-        tracer: &Tracer,
-        faults: &mut FaultSession,
-    ) -> Result<bool, FaultError>;
-
-    /// Folds the local overflow flag across the group (collective for
-    /// multi-rank placements; identity for a single replica).
-    fn combine_overflow(&mut self, local: bool) -> bool {
-        local
-    }
-
-    /// Gradient clipping. The replica clips the full gradient; shards
-    /// skip it (a faithful global norm would need another collective).
-    fn clip_grads(&mut self, grads: &mut [f32], max_norm: f64);
-
-    /// `(track, name)` of the optimizer-update span.
-    fn update_span(&self) -> (&str, &str);
-
-    /// Publishes the fp16 parameters back into the model — the h2d
-    /// parameter copy for a replica, all-gather for a shard. Gated by the
-    /// `wire.h2d` / `collective.allgather` fault sites.
-    fn publish(
-        &mut self,
-        model: &mut M,
-        p16: &[F16],
-        stats: &mut EngineStats,
-        tracer: &Tracer,
-        faults: &mut FaultSession,
-    ) -> Result<(), FaultError>;
-
-    /// Runs on an overflow-skipped step, after counters. Shard placements
-    /// must still execute their collectives to keep ranks in lock-step
-    /// (which is also why this can fault).
-    fn on_skip(
-        &mut self,
-        model: &mut M,
-        p16: &[F16],
-        stats: &mut EngineStats,
-        tracer: &Tracer,
-    ) -> Result<(), FaultError>;
-
-    /// Whether this member closes the tracer step boundary (rank 0 or
-    /// the single replica).
-    fn closes_step(&self) -> bool {
-        true
-    }
-}
-
 /// The optimizer behind the update stage.
 pub(crate) enum Updater {
     /// Non-offload reference path (scalar Adam, same recurrence).
@@ -210,11 +119,11 @@ pub(crate) enum Updater {
     Tiered(TieredAdam),
 }
 
-/// Builds the host-side optimizer for an offloaded engine (single
-/// replica, ZeRO-2 shard or ZeRO-3 shard) from the config's offload
-/// knobs.
+/// Builds the optimizer behind the update stage from the config's
+/// offload knobs, for this rank's master shard.
 ///
-/// Precedence: `dpu_warmup` wins over `optimizer_tier` — the DPU's
+/// Without offload it is the scalar reference Adam. With offload,
+/// `dpu_warmup` wins over `optimizer_tier` — the DPU's
 /// optimizer thread owns a DRAM-resident copy of the states by design,
 /// so a tier setting is ignored while DPU is on. Otherwise
 /// [`TierKind::Dram`] is the classic resident [`CpuAdam`], and
@@ -222,12 +131,15 @@ pub(crate) enum Updater {
 /// [`NvmeTier`] under the configured DRAM scratch budget.
 ///
 /// [`CpuAdam`]: zo_optim::CpuAdam
-pub(crate) fn build_offload_updater(
+pub(crate) fn build_updater(
     cfg: &ZeroOffloadConfig,
     master: &[f32],
     tracer: &Tracer,
     track: &str,
 ) -> Updater {
+    if cfg.offload == OffloadDevice::None {
+        return Updater::Reference(AdamState::new(master.len()), cfg.adam);
+    }
     let opt_cfg = CpuAdamConfig {
         hp: cfg.adam,
         num_threads: cfg.resolved_optimizer_threads(),
@@ -411,16 +323,13 @@ pub struct GradStream {
 }
 
 impl GradStream {
-    /// A stream that never fires (placements that cannot stream).
-    pub(crate) fn inert() -> GradStream {
-        GradStream::new(Tracer::disabled(), Vec::new(), 2)
-    }
-
-    /// A disarmed stream for a model with the given layer ranges.
+    /// A disarmed stream for a model with the given layer ranges; every
+    /// pushed slice passes the `wire.d2h` gate of `faults` (lane `STREAM`).
     pub(crate) fn new(
         tracer: Tracer,
         ranges: Vec<core::ops::Range<usize>>,
         bucket_bytes: usize,
+        faults: FaultSession,
     ) -> GradStream {
         let buckets = ranges.len();
         GradStream {
@@ -435,14 +344,9 @@ impl GradStream {
             streamed: 0,
             bucketer: GradBucketer::new(2),
             start_us: None,
-            faults: FaultSession::disabled(),
+            faults,
             poisoned: false,
         }
-    }
-
-    /// Installs the stream's fault session (lane `STREAM`).
-    pub(crate) fn set_faults(&mut self, faults: FaultSession) {
-        self.faults = faults;
     }
 
     /// Arms the stream for the closing micro-batch of a window: slices
@@ -529,10 +433,10 @@ impl BackwardHook for GradStream {
     fn on_bucket(&mut self, _bucket: usize) {}
 }
 
-/// The step state machine shared by both engines.
+/// The step state machine shared by every engine.
 ///
-/// Owns everything placement-independent: the fp32 master copy (full or
-/// shard), its fp16 mirror, the optimizer-input gradient buffer, the
+/// Owns everything placement-independent: the fp32 master copy (this
+/// rank's shard: the full model at world 1), its fp16 mirror, the optimizer-input gradient buffer, the
 /// updater, the dynamic loss scaler, the accumulation window and the
 /// cumulative stats.
 pub(crate) struct StepPipeline {
@@ -684,28 +588,41 @@ impl StepPipeline {
         self.pool_base = now;
     }
 
-    /// Closes the tracer step boundary if this member owns it. Called on
-    /// *every* terminal path — applied, skipped, backward error, fault —
-    /// so partial spans never leak into the next step's record.
-    fn close_boundary(&mut self, closes: bool) {
-        if closes {
-            self.emit_pool_counters();
-            self.tracer.finish_step();
-        }
-    }
-
     /// One micro-batch through the state machine; at window boundaries,
     /// the full transfer → overflow → clip → update → publish sequence.
-    pub(crate) fn step<M, P, E, F>(
+    ///
+    /// Every terminal path — applied, skipped, backward error, fault —
+    /// closes the tracer step boundary (on the member that owns it), so
+    /// partial spans never leak into the next step's record.
+    pub(crate) fn step<M, E, F>(
         &mut self,
         model: &mut M,
-        placement: &mut P,
+        placement: &mut Placement,
         stream: &mut GradStream,
         run_backward: F,
     ) -> Result<StepOutcome, StepError<E>>
     where
         M: Model,
-        P: Placement<M>,
+        F: FnOnce(&mut M, &mut GradStream) -> Result<f32, E>,
+    {
+        let out = self.run(model, placement, stream, run_backward);
+        if !matches!(out, Ok(StepOutcome::Accumulating { .. })) && placement.closes_step() {
+            self.emit_pool_counters();
+            self.tracer.finish_step();
+        }
+        out
+    }
+
+    /// [`StepPipeline::step`] up to its step boundary.
+    fn run<M, E, F>(
+        &mut self,
+        model: &mut M,
+        placement: &mut Placement,
+        stream: &mut GradStream,
+        run_backward: F,
+    ) -> Result<StepOutcome, StepError<E>>
+    where
+        M: Model,
         F: FnOnce(&mut M, &mut GradStream) -> Result<f32, E>,
     {
         if self.micro_in_window == 0 {
@@ -714,25 +631,15 @@ impl StepPipeline {
         // Stage-3 placements gather the layers this micro-batch needs
         // before compute starts; a fatal gather fault surfaces before any
         // state mutates, on every rank together (shared collective lane).
-        if let Err(f) = placement.pre_forward(model, &self.p16, &mut self.stats, &self.tracer) {
-            let closes = placement.closes_step();
-            self.close_boundary(closes);
-            return Err(StepError::Fault(f));
-        }
+        placement.pre_forward(model, &self.p16, &self.tracer)?;
         let loss = {
-            let _fwd = self.tracer.span(placement.fwd_track(), "fwd_bwd");
-            match run_backward(model, stream) {
-                Ok(loss) => loss,
-                Err(e) => {
-                    // A failed backward leaves partial streamed state;
-                    // disarm so the next window starts clean.
-                    stream.armed = false;
-                    let closes = placement.closes_step();
-                    drop(_fwd);
-                    self.close_boundary(closes);
-                    return Err(StepError::Backward(e));
-                }
-            }
+            let _fwd = self.tracer.span(placement.track("gpu"), "fwd_bwd");
+            run_backward(model, stream).map_err(|e| {
+                // A failed backward leaves partial streamed state;
+                // disarm so the next window starts clean.
+                stream.armed = false;
+                StepError::Backward(e)
+            })?
         };
         self.micro_in_window += 1;
         if self.micro_in_window < self.grad_accumulation {
@@ -742,7 +649,7 @@ impl StepPipeline {
 
         let scale = self.scaler.scale();
         let denom = self.grad_accumulation as f32;
-        let mut local_overflow = match placement.transfer(
+        let mut local_overflow = placement.transfer(
             model,
             &mut self.grads,
             scale,
@@ -751,14 +658,7 @@ impl StepPipeline {
             &mut self.stats,
             &self.tracer,
             &mut self.faults,
-        ) {
-            Ok(flag) => flag,
-            Err(f) => {
-                let closes = placement.closes_step();
-                self.close_boundary(closes);
-                return Err(StepError::Fault(f));
-            }
-        };
+        )?;
         // Injected NaN gradient bucket: corrupt the host-side copy and let
         // the standard skip-and-rescale machinery absorb it — the fault
         // model's claim is that a flipped payload is *survivable*.
@@ -768,29 +668,32 @@ impl StepPipeline {
             }
             local_overflow = true;
             self.tracer
-                .add(placement.counter_track(), names::FAULT_GRAD_NAN, 1);
+                .add(placement.track("engine"), names::FAULT_GRAD_NAN, 1);
         }
         let overflow = placement.combine_overflow(local_overflow);
+        let (update_track, update_span) = (
+            placement.track("cpu"),
+            placement.name("cpu_adam", "partition_update"),
+        );
 
         if !self.scaler.update(overflow) {
             self.stats.steps_skipped += 1;
             self.tracer
-                .add(placement.counter_track(), "steps_skipped", 1);
+                .add(placement.track("engine"), "steps_skipped", 1);
             self.tracer
-                .add(placement.counter_track(), names::OPTIM_OVERFLOW, 1);
+                .add(placement.track("engine"), names::OPTIM_OVERFLOW, 1);
             // The optimizer never runs on a skipped step, but the step
             // record must still carry its update phase: a zero-length
             // span keeps the row's schema identical to an applied step.
-            let (utrack, uname) = placement.update_span();
             let now = self.tracer.now_us();
-            self.tracer.record_span(utrack, uname, now, 0);
-            if let Err(f) = placement.on_skip(model, &self.p16, &mut self.stats, &self.tracer) {
-                let closes = placement.closes_step();
-                self.close_boundary(closes);
-                return Err(StepError::Fault(f));
-            }
-            let closes = placement.closes_step();
-            self.close_boundary(closes);
+            self.tracer.record_span(update_track, update_span, now, 0);
+            placement.on_skip(
+                model,
+                &self.p16,
+                &mut self.stats,
+                &self.tracer,
+                &mut self.faults,
+            )?;
             if self.overflow_storm_limit > 0
                 && self.scaler.consecutive_skips() >= self.overflow_storm_limit
             {
@@ -805,71 +708,49 @@ impl StepPipeline {
             placement.clip_grads(&mut self.grads, self.max_grad_norm);
         }
 
-        let update_result = {
-            let (track, name) = placement.update_span();
-            // The optimizer gate fires *before* any updater state mutates:
-            // a fatal `optim.cpu_step` fault leaves master, moments and
-            // the scaler exactly as checkpointed. The tiered updater adds
-            // its own `tier.read`/`tier.write` gates, also before any
-            // tile mutates.
-            if let Err(f) = with_retry(
-                &mut self.faults,
-                Site::OptimCpuStep,
-                &self.tracer,
-                track,
-                || (),
-            ) {
-                let closes = placement.closes_step();
-                self.close_boundary(closes);
-                return Err(StepError::Fault(f));
-            }
-            let _update = self.tracer.span(track, name);
+        // The optimizer gate fires *before* any updater state mutates: a
+        // fatal `optim.cpu_step` fault leaves master, moments and the
+        // scaler exactly as checkpointed. The tiered updater adds its own
+        // `tier.read`/`tier.write` gates, also before any tile mutates.
+        with_retry(
+            &mut self.faults,
+            Site::OptimCpuStep,
+            &self.tracer,
+            update_track,
+            || (),
+        )?;
+        {
+            let _update = self.tracer.span(update_track, update_span);
             match &mut self.updater {
                 Updater::Reference(state, hp) => {
                     // The recurrence is identical to CpuAdam's, bit for bit.
                     adam_reference_step(hp, state, &mut self.master, &self.grads)
                         .expect("pipeline buffers are sized together");
                     cast_f32_to_f16(&self.master, &mut self.p16);
-                    Ok(())
                 }
                 Updater::Cpu(opt) => {
                     opt.step_mixed(&mut self.master, &self.grads, &mut self.p16)
                         .expect("pipeline buffers are sized together");
-                    Ok(())
                 }
-                Updater::Async(dpu) => {
-                    dpu.step(&self.grads, &mut self.master, &mut self.p16);
-                    Ok(())
-                }
+                Updater::Async(dpu) => dpu.step(&self.grads, &mut self.master, &mut self.p16),
                 Updater::Tiered(tiered) => tiered.step(
                     &self.grads,
                     &mut self.master,
                     &mut self.p16,
                     &mut self.faults,
-                ),
+                )?,
             }
-        };
-        if let Err(e) = update_result {
-            let closes = placement.closes_step();
-            self.close_boundary(closes);
-            return Err(e.into());
         }
-        if let Err(f) = placement.publish(
+        placement.publish(
             model,
             &self.p16,
             &mut self.stats,
             &self.tracer,
             &mut self.faults,
-        ) {
-            let closes = placement.closes_step();
-            self.close_boundary(closes);
-            return Err(StepError::Fault(f));
-        }
+        )?;
         self.stats.steps_applied += 1;
         self.tracer
-            .add(placement.counter_track(), "steps_applied", 1);
-        let closes = placement.closes_step();
-        self.close_boundary(closes);
+            .add(placement.track("engine"), "steps_applied", 1);
         Ok(StepOutcome::Applied { loss })
     }
 }

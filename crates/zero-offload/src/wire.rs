@@ -251,25 +251,6 @@ pub fn quantize_grads(
     overflow
 }
 
-/// Quantizes `grads` as [`quantize_into`] does, then immediately widens
-/// the fp16 values back and unscales in place (`g = widen(narrow(g * scale
-/// / denom)) / scale`) — the post-hoc H2D/D2H round trip the sharded
-/// engines apply to emulate gradients crossing the PCIe link, block by
-/// block. Returns the overflow flag.
-pub fn roundtrip_grads(grads: &mut [f32], denom: f32, scale: f32) -> bool {
-    let mut half = [F16::ZERO; BLOCK];
-    let mut overflow = false;
-    for block in grads.chunks_mut(BLOCK) {
-        let half = &mut half[..block.len()];
-        overflow |= quantize_block(block, denom, scale, half);
-        F16::to_f32_slice(half, block);
-        for g in block.iter_mut() {
-            *g /= scale;
-        }
-    }
-    overflow
-}
-
 /// Decodes one frame and records receive-side counters on `track`:
 /// `rx_wire_bytes` (full frame size), `rx_payload_bytes` (fp16 payload)
 /// and `rx_frames`. Failed frames count nothing.
@@ -289,23 +270,6 @@ pub fn decode_frame_traced(
 /// Total wire bytes for `elements` fp16 values in one frame.
 pub fn frame_bytes(elements: usize) -> usize {
     HEADER_BYTES + 2 * elements
-}
-
-/// Carries one staged frame across the emulated link under a fault
-/// session: the frame passes the `wire.d2h` gate with bounded
-/// exponential-backoff retry before delivery.
-///
-/// A recovered transient retransmits the *same* bytes (retries never
-/// change what was staged), so transient faults cannot perturb the
-/// decoded gradients. A fatal or retry-exhausted fault surfaces as a
-/// typed [`zo_fault::FaultError`]; the frame is considered lost.
-pub fn ship_frame(
-    frame: Bytes,
-    faults: &mut zo_fault::FaultSession,
-    tracer: &zo_trace::Tracer,
-    track: &str,
-) -> Result<Bytes, zo_fault::FaultError> {
-    zo_fault::with_retry(faults, zo_fault::Site::WireD2h, tracer, track, || frame)
 }
 
 #[cfg(test)]
@@ -377,50 +341,6 @@ mod tests {
             decode_frame(Bytes::from(raw)),
             Err(WireError::BadChecksum { .. })
         ));
-    }
-
-    #[test]
-    fn ship_frame_retries_transients_and_surfaces_fatals() {
-        use zo_fault::{FaultKind, FaultPlan, FaultSession, Site, SiteSpec};
-        let tracer = zo_trace::Tracer::new();
-        let frame = encode_frame(1, 8, &values(4));
-
-        let transient = std::sync::Arc::new(
-            FaultPlan::builder(2)
-                .site(
-                    Site::WireD2h,
-                    SiteSpec {
-                        kind: FaultKind::Transient,
-                        prob: 1.0,
-                        depth: 2,
-                    },
-                )
-                .build(),
-        );
-        let mut session = FaultSession::new(transient, 1);
-        let shipped = ship_frame(frame.clone(), &mut session, &tracer, "pcie").unwrap();
-        assert_eq!(shipped, frame, "retries must retransmit identical bytes");
-        assert_eq!(tracer.counter_total(zo_trace::names::RETRY_ATTEMPTS), 2);
-
-        let fatal = std::sync::Arc::new(
-            FaultPlan::builder(2)
-                .site(
-                    Site::WireD2h,
-                    SiteSpec {
-                        kind: FaultKind::Fatal,
-                        prob: 1.0,
-                        depth: 1,
-                    },
-                )
-                .build(),
-        );
-        let mut session = FaultSession::new(fatal, 1);
-        assert_eq!(
-            ship_frame(frame, &mut session, &tracer, "pcie"),
-            Err(zo_fault::FaultError::Fatal {
-                site: Site::WireD2h
-            })
-        );
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! ZO_THREADS=4 fingerprint [--steps N]
 //! ```
 //!
-//! With `ZO_STAGE=3` the same fingerprint is computed over a two-rank
+//! `ZO_STAGE` picks the engine stage: unset or `1` is the single engine;
+//! `2` and `3` compute the same fingerprint over a two-rank ZeRO-2 or
 //! ZeRO-3 run (rank 0's per-step losses, then every rank's master shard
-//! in rank order), so CI can prove the thread-invariance claim holds for
-//! the parameter-partitioned engine too.
+//! in rank order), so CI can prove the invariance claims for the sharded
+//! engines too — and that stages 2 and 3 train the same bits. Any other
+//! value is an error.
 //!
 //! With `ZO_TIER=nvme` the fp32 optimizer partitions spill to the
 //! file-backed NVMe tier (`ZO_TIER_DIR` controls the spill directory).
@@ -30,7 +32,7 @@
 use std::process::ExitCode;
 
 use zero_offload::TierKind;
-use zo_bench::trajectory::{run_single, run_zero3};
+use zo_bench::trajectory::{run_single, run_zero2, run_zero3};
 
 fn main() -> ExitCode {
     let mut steps = 30usize;
@@ -59,18 +61,21 @@ fn main() -> ExitCode {
         }
     };
 
-    let stage3 = std::env::var("ZO_STAGE").is_ok_and(|v| v == "3");
-    let run = if stage3 {
-        run_zero3(steps, tier)
-    } else {
-        run_single(steps, tier)
+    let (run, engine) = match std::env::var("ZO_STAGE").as_deref() {
+        Err(_) | Ok("1") => (run_single(steps, tier), "single"),
+        Ok("2") => (run_zero2(steps, tier), "zero2"),
+        Ok("3") => (run_zero3(steps, tier), "zero3"),
+        Ok(other) => {
+            eprintln!("unknown ZO_STAGE value {other:?}; expected unset, \"1\", \"2\" or \"3\"");
+            return ExitCode::FAILURE;
+        }
     };
 
     println!(
         "fingerprint {:016x} threads={} steps={steps} engine={} tier={}",
         run.hash,
         zo_tensor::pool::global().threads(),
-        if stage3 { "zero3" } else { "single" },
+        engine,
         match tier {
             TierKind::Dram => "dram",
             TierKind::Nvme => "nvme",

@@ -12,7 +12,6 @@ pub mod ablations;
 pub mod adam_bench;
 pub mod convergence;
 pub mod scale;
-pub mod service;
 mod table;
 pub mod throughput;
 pub mod trajectory;
@@ -24,12 +23,11 @@ pub use convergence::{
     DPU_WARMUP,
 };
 pub use scale::{fig7_rows, render_fig7, ScaleRow};
-pub use service::{jain_index, measure_service, schedule_fairness, ServiceMetrics};
 pub use table::render_table;
 pub use throughput::{
     fig10_rows, fig11_rows, fig8_rows, fig9_rows, render_fig10, render_fig11, render_fig8,
     render_fig9, Fig10Row, Fig11Row, Fig8Row, Fig9Row,
 };
 pub use trajectory::{
-    run_single, run_zero3, verify_pinned, TrajectoryRun, PINNED_TRAJECTORY_FINGERPRINT,
+    run_single, run_zero2, run_zero3, verify_pinned, TrajectoryRun, PINNED_TRAJECTORY_FINGERPRINT,
 };

@@ -16,7 +16,9 @@
 //! `mul_add` loops), this is the only constant to update — the invariance
 //! diffs in `scripts/ci.sh` stay relative and keep passing on their own.
 
-use zero_offload::{run_zero3_ranks, TierKind, ZeroOffloadConfig, ZeroOffloadEngine};
+use zero_offload::{
+    run_ranks, run_zero3_ranks, RankEngine, TierKind, ZeroOffloadConfig, ZeroOffloadEngine,
+};
 use zo_models::BigramLm;
 use zo_nn::{GptConfig, GptModel};
 use zo_optim::{AdamParams, LossScaleConfig};
@@ -92,32 +94,35 @@ pub fn run_single(steps: usize, tier: TierKind) -> TrajectoryRun {
     }
 }
 
-/// The same fingerprint over a two-rank ZeRO-3 run (rank 0's per-step
-/// losses, then every rank's master shard in rank order).
-pub fn run_zero3(steps: usize, tier: TierKind) -> TrajectoryRun {
+/// Ranks of the sharded fingerprint runs.
+const WORLD: usize = 2;
+
+/// One rank of a sharded fingerprint run: trains on its slice of each
+/// global batch and returns (per-step losses, final master shard).
+fn rank_trace<const ZERO3: bool>(
+    engine: &mut RankEngine<GptModel, ZERO3>,
+    steps: usize,
+) -> (Vec<f32>, Vec<f32>) {
     let gpt = fingerprint_model();
-    const WORLD: usize = 2;
-    let traces = run_zero3_ranks(
-        WORLD,
-        fingerprint_config(tier),
-        move |_| GptModel::new(gpt, 42),
-        move |engine| {
-            let mut data = BigramLm::new(gpt.vocab, 0.02, 7);
-            let mut losses = Vec::with_capacity(steps);
-            for _ in 0..steps {
-                let b = data.batch(WORLD, gpt.seq_len);
-                let r = engine.rank();
-                let n = gpt.seq_len;
-                let inputs = b.inputs[r * n..(r + 1) * n].to_vec();
-                let targets = b.targets[r * n..(r + 1) * n].to_vec();
-                let out = engine
-                    .step(|m| m.train_step(&inputs, &targets, 1, n, |_| {}))
-                    .expect("training step");
-                losses.push(out.loss());
-            }
-            (losses, engine.master_shard().to_vec())
-        },
-    );
+    let mut data = BigramLm::new(gpt.vocab, 0.02, 7);
+    let mut losses = Vec::with_capacity(steps);
+    for _ in 0..steps {
+        let b = data.batch(WORLD, gpt.seq_len);
+        let r = engine.rank();
+        let n = gpt.seq_len;
+        let inputs = b.inputs[r * n..(r + 1) * n].to_vec();
+        let targets = b.targets[r * n..(r + 1) * n].to_vec();
+        let out = engine
+            .step(|m| m.train_step(&inputs, &targets, 1, n, |_| {}))
+            .expect("training step");
+        losses.push(out.loss());
+    }
+    (losses, engine.master_shard().to_vec())
+}
+
+/// The fingerprint of a sharded run: rank 0's per-step losses, then
+/// every rank's master shard in rank order.
+fn hash_ranks(traces: Vec<(Vec<f32>, Vec<f32>)>, steps: usize) -> TrajectoryRun {
     let master: Vec<f32> = traces
         .iter()
         .flat_map(|(_, shard)| shard.iter().copied())
@@ -126,6 +131,30 @@ pub fn run_zero3(steps: usize, tier: TierKind) -> TrajectoryRun {
         hash: fingerprint_run(&traces[0].0, &master),
         steps,
     }
+}
+
+/// The same fingerprint over a two-rank ZeRO-2 run. Parameter
+/// partitioning moves data, not math, so it equals [`run_zero3`]'s.
+pub fn run_zero2(steps: usize, tier: TierKind) -> TrajectoryRun {
+    let traces = run_ranks(
+        WORLD,
+        fingerprint_config(tier),
+        |_| GptModel::new(fingerprint_model(), 42),
+        |engine| rank_trace(engine, steps),
+    );
+    hash_ranks(traces, steps)
+}
+
+/// The same fingerprint over a two-rank ZeRO-3 run (rank 0's per-step
+/// losses, then every rank's master shard in rank order).
+pub fn run_zero3(steps: usize, tier: TierKind) -> TrajectoryRun {
+    let traces = run_zero3_ranks(
+        WORLD,
+        fingerprint_config(tier),
+        |_| GptModel::new(fingerprint_model(), 42),
+        |engine| rank_trace(engine, steps),
+    );
+    hash_ranks(traces, steps)
 }
 
 /// Checks a run against the pinned fingerprint. A run is comparable only
@@ -171,6 +200,15 @@ mod tests {
     fn trajectory_fingerprint_tier_invariant() {
         let nvme = run_single(PINNED_STEPS, TierKind::Nvme);
         assert_eq!(nvme.hash, PINNED_TRAJECTORY_FINGERPRINT);
+    }
+
+    /// ZeRO-2 and ZeRO-3 train the same bits: parameter partitioning is
+    /// pure data movement.
+    #[test]
+    fn zero2_fingerprint_equals_zero3() {
+        let z2 = run_zero2(PINNED_STEPS, TierKind::Dram);
+        let z3 = run_zero3(PINNED_STEPS, TierKind::Dram);
+        assert_eq!(z2.hash, z3.hash, "{:016x} vs {:016x}", z2.hash, z3.hash);
     }
 
     /// Red path: a perturbed fingerprint must be rejected with a message

@@ -23,6 +23,8 @@ struct Shared {
     /// Release notifications: total non-owned elements the group's ranks
     /// have dropped via [`Communicator::try_release_slice`].
     released: Mutex<u64>,
+    /// One f64 slot per rank for [`Communicator::all_reduce_sum_f64`].
+    scalars: Mutex<Vec<f64>>,
 }
 
 /// Per-endpoint fault state: the decision session plus where retries are
@@ -93,6 +95,7 @@ impl Communicator {
             buf: Mutex::new(Vec::new()),
             stage: Mutex::new(vec![None; world]),
             released: Mutex::new(0),
+            scalars: Mutex::new(vec![0.0; world]),
         });
         (0..world)
             .map(|rank| Communicator {
@@ -177,6 +180,22 @@ impl Communicator {
         }
         self.stage_and_reduce(data);
         data.copy_from_slice(&self.shared.buf.lock());
+    }
+
+    /// Scalar all-reduce (sum) in f64: every rank returns the sum of all
+    /// ranks' `value`s, added in rank order on every rank, so the result
+    /// is bit-identical everywhere and from run to run. At world 1 it
+    /// returns `value` untouched, without a barrier.
+    pub fn all_reduce_sum_f64(&self, value: f64) -> f64 {
+        if self.world == 1 {
+            return value;
+        }
+        // Entry barrier: every rank has read the previous call's slots.
+        self.barrier();
+        self.shared.scalars.lock()[self.rank] = value;
+        self.barrier();
+        let sum = self.shared.scalars.lock().iter().sum();
+        sum
     }
 
     /// All-reduce (mean): the data-parallel gradient average.
@@ -718,5 +737,27 @@ mod tests {
         assert_eq!(c.all_gather(&[5.0], 1), vec![5.0]);
         assert_eq!(c.all_gather_var(&[5.0]), vec![vec![5.0]]);
         assert_eq!(c.broadcast(&[9.0], 0), vec![9.0]);
+        assert_eq!(c.all_reduce_sum_f64(-0.0).to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn scalar_f64_sum_is_rank_ordered_on_every_rank() {
+        // Values whose sum depends on the addition order: only the rank
+        // order ((((0 + 1e16) + 1) + -1e16) + 1) gives exactly 1.
+        let values = [1e16, 1.0, -1e16, 1.0];
+        let want = values.iter().sum::<f64>();
+        assert_eq!(want, 1.0);
+        for _ in 0..5 {
+            let out = run_group(4, move |c| {
+                let a = c.all_reduce_sum_f64(values[c.rank()]);
+                // Back to back: the second call must not read stale slots.
+                let b = c.all_reduce_sum_f64(c.rank() as f64);
+                (a, b)
+            });
+            for (a, b) in out {
+                assert_eq!(a.to_bits(), want.to_bits());
+                assert_eq!(b, 6.0);
+            }
+        }
     }
 }

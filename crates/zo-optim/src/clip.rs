@@ -4,16 +4,29 @@
 //! computation the paper's Sec. 3.2 assigns to the CPU ("norm calculations,
 //! weight updates etc that have a complexity of O(M)").
 
+/// One shard's sum of squares, accumulated in f64 — the partial sum a
+/// data-parallel rank contributes to the global norm.
+pub fn sum_squares(shard: &[f32]) -> f64 {
+    shard.iter().map(|g| (*g as f64) * (*g as f64)).sum()
+}
+
 /// Computes the global L2 norm over several gradient shards.
 ///
 /// Accepts shards so that per-layer (or per-partition) gradient buffers can
 /// be clipped jointly without concatenation.
 pub fn global_norm(shards: &[&[f32]]) -> f64 {
-    shards
-        .iter()
-        .map(|s| s.iter().map(|g| (*g as f64) * (*g as f64)).sum::<f64>())
-        .sum::<f64>()
-        .sqrt()
+    shards.iter().map(|s| sum_squares(s)).sum::<f64>().sqrt()
+}
+
+/// Scales gradient shards by `max_norm / norm` when their global `norm`
+/// exceeds `max_norm`; otherwise leaves them untouched.
+pub fn clip_to_norm(shards: &mut [&mut [f32]], norm: f64, max_norm: f64) {
+    if norm > max_norm && norm > 0.0 {
+        let factor = (max_norm / norm) as f32;
+        for shard in shards.iter_mut() {
+            zo_tensor::ops::scale(shard, factor);
+        }
+    }
 }
 
 /// Clips gradient shards to a maximum global L2 norm.
@@ -25,12 +38,7 @@ pub fn clip_global_norm(shards: &mut [&mut [f32]], max_norm: f64) -> f64 {
         let views: Vec<&[f32]> = shards.iter().map(|s| &**s).collect();
         global_norm(&views)
     };
-    if norm > max_norm && norm > 0.0 {
-        let factor = (max_norm / norm) as f32;
-        for shard in shards.iter_mut() {
-            zo_tensor::ops::scale(shard, factor);
-        }
-    }
+    clip_to_norm(shards, norm, max_norm);
     norm
 }
 

@@ -161,20 +161,66 @@ mod tests {
     use zo_nn::GptConfig;
     use zo_trace::names;
 
+    const GPT: GptConfig = GptConfig {
+        vocab: 16,
+        seq_len: 8,
+        hidden: 16,
+        heads: 2,
+        layers: 1,
+    };
+
+    /// Grants per job in every prefix of the schedule of running `specs`
+    /// to completion under seed `seed`.
+    fn prefix_grants(seed: u64, specs: Vec<JobSpec>) -> Vec<Vec<usize>> {
+        let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
+        let mut service = Service::new(seed);
+        for spec in specs {
+            service.submit(spec).expect("submit");
+        }
+        let report = service.run_to_completion();
+        let mut grants = vec![0; names.len()];
+        report
+            .schedule
+            .iter()
+            .map(|e| {
+                grants[names.iter().position(|n| *n == e.job).unwrap()] += 1;
+                grants.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn equal_priority_jobs_share_equally() {
+        let specs = ["a", "b", "c"].map(|n| JobSpec::new(n, GPT, 6)).to_vec();
+        let prefixes = prefix_grants(3, specs);
+        assert_eq!(prefixes.last(), Some(&vec![6, 6, 6]));
+        for g in &prefixes {
+            let (lo, hi) = (g.iter().min().unwrap(), g.iter().max().unwrap());
+            assert!(hi - lo <= 1, "unequal grants in a prefix: {g:?}");
+        }
+    }
+
+    #[test]
+    fn priorities_weight_the_schedule() {
+        // A 2:1 priority is a 2:1 grant ratio in every prefix of the
+        // schedule while both jobs run (12 and 6 steps end together).
+        let mut fast = JobSpec::new("fast", GPT, 12);
+        fast.priority = 2;
+        let slow = JobSpec::new("slow", GPT, 6);
+        let prefixes = prefix_grants(1, vec![fast, slow]);
+        assert_eq!(prefixes.last(), Some(&vec![12, 6]));
+        for g in &prefixes {
+            assert!(g[0].abs_diff(2 * g[1]) <= 2, "not 2:1 in a prefix: {g:?}");
+        }
+    }
+
     /// A periodic checkpoint that cannot be written does not stop the job,
     /// and does not go unseen: the job's trace counts it.
     #[test]
     fn failed_periodic_checkpoint_is_counted_and_the_job_completes() {
         let root = std::env::temp_dir().join(format!("zo_serve_lost_dir_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let gpt = GptConfig {
-            vocab: 16,
-            seq_len: 8,
-            hidden: 16,
-            heads: 2,
-            layers: 1,
-        };
-        let mut spec = JobSpec::new("orphan", gpt, 10);
+        let mut spec = JobSpec::new("orphan", GPT, 10);
         spec.checkpoint_every = 2;
         let mut service = Service::with_checkpoint_root(1, &root);
         service.submit(spec).expect("submit");

@@ -149,7 +149,18 @@ assert_fp_matrix() { # assert_fp_matrix STAGE
 
 leg_fingerprint_matrix() {
     assert_fp_matrix 1
+    assert_fp_matrix 2
     assert_fp_matrix 3
+    # ZeRO-2 and ZeRO-3 hash the same trajectory: partitioning the
+    # parameters moves data, not math.
+    local zero2
+    fp off 1 2 dram
+    zero2=$FP
+    fp off 1 3 dram
+    if [ "$zero2" != "$FP" ]; then
+        echo "FAIL: stage 2 fingerprint $zero2 differs from stage 3's $FP" >&2
+        exit 1
+    fi
 }
 
 # Every committed `results/*.txt` whose bin is deterministic, regenerated
@@ -208,7 +219,7 @@ run_leg "fault harness (unit tests + fault matrix, both presets)" leg_fault_harn
 run_leg "zero3 paper-claim harness (both fault presets)" leg_zero3_harness
 run_leg "memory-tier harness (both fault presets)" leg_tier_harness
 run_leg "multi-job service harness (both fault presets)" leg_multi_job_harness
-run_leg "trajectory fingerprint matrix (faults x threads x tier, stages 1 and 3)" leg_fingerprint_matrix
+run_leg "trajectory fingerprint matrix (faults x threads x tier, stages 1, 2 and 3)" leg_fingerprint_matrix
 run_leg "committed results/ match their bins" leg_results_fresh
 run_leg "benchmark smoke run (--quick, bench self-tests, full-length serve-mixed untraced and traced)" leg_bench_smoke
 

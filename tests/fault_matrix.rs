@@ -744,3 +744,124 @@ fn env_plan_cannot_perturb_the_trajectory() {
     assert_eq!(le, lo, "ZO_FAULTS transients must not perturb training");
     assert_eq!(from_env.master_params(), explicit_off.master_params());
 }
+
+// ---------------------------------------------------------------------------
+// Lock-step `wire.d2h` draws on the sharded path.
+// ---------------------------------------------------------------------------
+
+/// One rank's (losses, master shard, frames shipped, first error with its
+/// step index).
+type RankRun = (
+    Vec<f32>,
+    Vec<f32>,
+    u64,
+    Option<(usize, StepError<zo_tensor::TensorError>)>,
+);
+
+/// Up to `steps` ZeRO-2 steps at `world` ranks on [`GPT`], stopping at
+/// the first error.
+fn zero2_until_error(world: usize, steps: usize, engine_cfg: ZeroOffloadConfig) -> Vec<RankRun> {
+    zero_offload::run_ranks(
+        world,
+        engine_cfg,
+        |_| GptModel::new(GPT, 21),
+        |engine| {
+            let mut data = BigramLm::new(GPT.vocab, 0.05, 1000);
+            let mut losses = Vec::new();
+            let mut error = None;
+            for step in 0..steps {
+                let b = data.batch(world, GPT.seq_len);
+                let r = engine.rank();
+                let n = GPT.seq_len;
+                let inputs = b.inputs[r * n..(r + 1) * n].to_vec();
+                let targets = b.targets[r * n..(r + 1) * n].to_vec();
+                match engine.step(|m| m.train_step(&inputs, &targets, 1, n, |_| {})) {
+                    Ok(out) => losses.push(out.loss()),
+                    Err(e) => {
+                        error = Some((step, e));
+                        break;
+                    }
+                }
+            }
+            let frames = engine.stats().frames;
+            (losses, engine.master_shard().to_vec(), frames, error)
+        },
+    )
+}
+
+/// The ranks of a world-2 group own uneven pieces of the layer buckets,
+/// so they ship different frame counts; the `wire.d2h` gate is drawn once
+/// per layer bucket on every rank regardless, so a fatal fault lands in
+/// the same step on both ranks and the group joins instead of stranding
+/// one rank at the next collective.
+#[test]
+fn fatal_sharded_wire_d2h_fires_on_every_rank_in_the_same_step() {
+    let clean = zero2_until_error(2, 4, with_plan(cfg(), FaultPlan::disabled()));
+    assert_ne!(
+        clean[0].2, clean[1].2,
+        "the premise: the ranks must ship different frame counts"
+    );
+
+    // A plan whose fault lands mid-run, after the per-rank draw counts of
+    // a per-frame gate would already have drifted apart. The search runs
+    // on its own thread, so a rank stranded at a collective fails the test
+    // instead of hanging it.
+    let (done, result) = std::sync::mpsc::channel();
+    let search = std::thread::spawn(move || {
+        let fired = (0..64u64)
+            .map(|seed| {
+                let plan = FaultPlan::builder(seed)
+                    .site(
+                        Site::WireD2h,
+                        SiteSpec {
+                            kind: FaultKind::Fatal,
+                            prob: 0.1,
+                            depth: 1,
+                        },
+                    )
+                    .build();
+                zero2_until_error(2, 12, with_plan(cfg(), plan))
+            })
+            .find(|out| matches!(out[0].3, Some((step, _)) if step > 0));
+        done.send(fired).ok();
+    });
+    let out = match result.recv_timeout(std::time::Duration::from_secs(300)) {
+        Ok(fired) => {
+            search.join().expect("the search thread sent its result");
+            fired.expect("some seed fires after the first step")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("a rank was stranded at a collective: the ranks' fault draws drifted apart")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(search.join().expect_err("the search thread panicked"))
+        }
+    };
+    let first = out[0].3.as_ref().unwrap();
+    assert_eq!(
+        first.1,
+        StepError::Fault(FaultError::Fatal {
+            site: Site::WireD2h
+        })
+    );
+    assert_eq!(out[1].3.as_ref(), Some(first), "ranks must fail together");
+}
+
+#[test]
+fn transient_sharded_wire_d2h_faults_leave_ranks_bit_identical() {
+    for world in [2usize, 4] {
+        let tracer = zo_trace::Tracer::new();
+        let faulty_cfg = ZeroOffloadConfig {
+            tracer: Some(TracerRef::install(tracer.clone())),
+            ..with_plan(cfg(), transient(Site::WireD2h, 0.4).build())
+        };
+        let faulty = zero2_until_error(world, 8, faulty_cfg);
+        let clean = zero2_until_error(world, 8, with_plan(cfg(), FaultPlan::disabled()));
+        for (rank, (f, c)) in faulty.iter().zip(&clean).enumerate() {
+            assert!(f.3.is_none(), "world {world} rank {rank}: {:?}", f.3);
+            assert_eq!(f.0, c.0, "world {world} rank {rank}: losses diverged");
+            assert_eq!(f.1, c.1, "world {world} rank {rank}: shard diverged");
+        }
+        assert!(tracer.counter_total(zo_trace::names::RETRY_ATTEMPTS) > 0);
+    }
+}

@@ -437,3 +437,29 @@ fn leftover_tmp_file_is_not_chosen_and_is_removed_at_submit() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `zo-serve` ZeRO-2 job set to clip trains clipped: its fingerprint
+/// leaves its unclipped twin's and equals its clipped ZeRO-3 twin's.
+#[test]
+fn clipped_zero2_job_leaves_its_unclipped_twin_and_matches_zero3() {
+    let clip = |mut spec: JobSpec| {
+        spec.config.max_grad_norm = 0.05;
+        spec
+    };
+    let mut z2 = zero2_spec("clip-z2", 8, 2, DataMode::Sliced);
+    z2.batch = 2;
+    let plain = run_solo(z2.clone());
+    let clipped = run_solo(clip(z2));
+    let clipped_z3 = run_solo(clip(zero3_spec("clip-z3", 8, 2)));
+    for job in [&plain, &clipped, &clipped_z3] {
+        assert_eq!(job.state, JobState::Completed, "{}", job.name);
+    }
+    assert_ne!(
+        clipped.fingerprint, plain.fingerprint,
+        "max_grad_norm must change a ZeRO-2 job's trajectory"
+    );
+    assert_eq!(
+        clipped.fingerprint, clipped_z3.fingerprint,
+        "clipped ZeRO-2 and ZeRO-3 jobs must train the same bits"
+    );
+}

@@ -137,3 +137,32 @@ fn zero2_per_rank_traffic_is_4m_over_n_bytes() {
     assert_eq!(total, steps * 4 * m);
     assert_eq!(tracer.tracks_with_counter("d2h_bytes").len(), WORLD);
 }
+
+/// World 1 costs nothing: the single engine is the one-rank placement,
+/// and neither its post-hoc nor its streamed steps enter a collective or
+/// record a `reduce_scatter` / `all_gather` span.
+#[test]
+fn world_one_steps_record_no_collective_spans() {
+    let tracer = Tracer::new();
+    let mut engine = ZeroOffloadEngine::new(GptModel::new(GPT, 7), cfg_with(&tracer));
+    let mut data = BigramLm::new(GPT.vocab, 0.05, 3);
+    for step in 0..4 {
+        let b = data.batch(4, GPT.seq_len);
+        if step % 2 == 0 {
+            engine
+                .step(|m| m.train_step(&b.inputs, &b.targets, 4, GPT.seq_len, |_| {}))
+                .unwrap();
+        } else {
+            engine
+                .step_streamed(|m, s| m.train_step_hooked(&b.inputs, &b.targets, 4, GPT.seq_len, s))
+                .unwrap();
+        }
+    }
+    assert_eq!(tracer.spans_named("grad_offload").len(), 4);
+    for collective in ["reduce_scatter", "all_gather"] {
+        assert!(
+            tracer.spans_named(collective).is_empty(),
+            "a world-1 step recorded a {collective} span"
+        );
+    }
+}

@@ -305,3 +305,100 @@ fn dpu_composes_with_stage3() {
         assert_bits_eq(&a[rank].1, &b[rank].1, &format!("dpu rank {rank} shard"));
     }
 }
+
+// ---------------------------------------------------------------------------
+// Global-norm clipping on every stage.
+// ---------------------------------------------------------------------------
+
+/// A clip that fires on every step: the tiny GPT's global gradient norm
+/// sits well above it.
+fn clipped_cfg() -> ZeroOffloadConfig {
+    ZeroOffloadConfig {
+        max_grad_norm: 0.05,
+        ..cfg()
+    }
+}
+
+/// [`zero2_trace`] under an explicit engine config.
+fn zero2_trace_with(world: usize, steps: usize, engine_cfg: ZeroOffloadConfig) -> Vec<RankTrace> {
+    run_ranks(
+        world,
+        engine_cfg,
+        |_| GptModel::new(GPT, MODEL_SEED),
+        move |engine| {
+            let mut losses = Vec::new();
+            for step in 0..steps {
+                let b = global_batch(step, world);
+                let r = engine.rank();
+                let inputs = b.inputs[r * 8..(r + 1) * 8].to_vec();
+                let targets = b.targets[r * 8..(r + 1) * 8].to_vec();
+                let out = engine
+                    .step(|m| m.train_step(&inputs, &targets, 1, 8, |_| {}))
+                    .unwrap();
+                losses.push(out.loss());
+            }
+            (engine.shard_range(), engine.master_shard().to_vec(), losses)
+        },
+    )
+}
+
+/// The global norm is one rank-ordered sum of per-shard partial sums, so
+/// clipped ZeRO-2 and clipped ZeRO-3 stay bitwise identical at every
+/// world size, exactly as their unclipped runs do.
+#[test]
+fn clipped_stage3_matches_clipped_zero2_bitwise_at_each_world() {
+    for world in [1usize, 2, 4] {
+        let z2 = zero2_trace_with(world, STEPS, clipped_cfg());
+        let z3 = zero3_trace(world, STEPS, clipped_cfg());
+        for rank in 0..world {
+            let what = format!("clipped world {world} rank {rank}");
+            assert_bits_eq(&z2[rank].1, &z3[rank].1, &format!("{what} master shard"));
+            assert_bits_eq(&z2[rank].2, &z3[rank].2, &format!("{what} losses"));
+        }
+    }
+}
+
+/// At world 1 the sharded clip is the single engine's clip, bit for bit.
+#[test]
+fn clipped_zero2_at_world_one_matches_clipped_single_gpu() {
+    let z2 = zero2_trace_with(1, STEPS, clipped_cfg());
+
+    let mut single = ZeroOffloadEngine::new(GptModel::new(GPT, MODEL_SEED), clipped_cfg());
+    let mut losses = Vec::new();
+    for step in 0..STEPS {
+        let b = global_batch(step, 1);
+        let out = single
+            .step(|m| m.train_step(&b.inputs, &b.targets, 1, 8, |_| {}))
+            .unwrap();
+        losses.push(out.loss());
+    }
+
+    assert_bits_eq(&z2[0].1, single.master_params(), "clipped master params");
+    assert_bits_eq(&z2[0].2, &losses, "clipped losses");
+}
+
+/// `max_grad_norm` is honoured, not dropped: on every stage and world, a
+/// clipped run leaves its unclipped twin.
+#[test]
+fn clipping_changes_the_sharded_trajectory() {
+    for world in [1usize, 2, 4] {
+        let runs = [
+            (
+                zero2_trace(world, STEPS),
+                zero2_trace_with(world, STEPS, clipped_cfg()),
+            ),
+            (
+                zero3_trace(world, STEPS, cfg()),
+                zero3_trace(world, STEPS, clipped_cfg()),
+            ),
+        ];
+        for (stage, (plain, clipped)) in ["zero2", "zero3"].iter().zip(&runs) {
+            for rank in 0..world {
+                assert!(
+                    plain[rank].1 != clipped[rank].1,
+                    "{stage} world {world} rank {rank}: clipping left the shard unchanged"
+                );
+            }
+        }
+    }
+}
