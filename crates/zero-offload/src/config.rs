@@ -111,7 +111,9 @@ pub struct ZeroOffloadConfig {
     /// Adam hyper-parameters.
     pub adam: AdamParams,
     /// One-step delayed parameter update: `None` disables, `Some(n)`
-    /// enables after `n` warm-up steps (the paper uses 40).
+    /// enables after `n` warm-up steps (the paper uses 40). DPU delays the
+    /// offloaded CPU-Adam, so it needs `offload: Cpu` and
+    /// `optimizer_tier: Dram` ([`ZeroOffloadConfig::validate`]).
     pub dpu_warmup: Option<u64>,
     /// Dynamic fp16 loss scaling.
     pub loss_scale: LossScaleConfig,
@@ -156,8 +158,7 @@ pub struct ZeroOffloadConfig {
     /// `ZO_TIER_DIR` (system temp dir when unset) and streams the Adam
     /// update through a bounded DRAM scratch each step. The trajectory is
     /// bit-identical across tiers; only residency and wall-clock change.
-    /// Ignored when DPU is active (`dpu_warmup`), which requires
-    /// DRAM-resident states.
+    /// Must be [`TierKind::Dram`] when `dpu_warmup` is set.
     pub optimizer_tier: TierKind,
     /// DRAM scratch byte budget for the tiered optimizer's streaming
     /// schedule (three tile slots of decoded fp32 state plus their encoded
@@ -201,6 +202,29 @@ impl ZeroOffloadConfig {
     pub fn to_json(&self) -> String {
         // Plain-old-data: serialization cannot fail.
         serde_json::to_string_pretty(self).expect("config serialization")
+    }
+
+    /// Refuses the settings that cannot run together; the error names
+    /// both fields. Engine construction panics on a refused config.
+    ///
+    /// ```
+    /// use zero_offload::ZeroOffloadConfig;
+    ///
+    /// assert!(ZeroOffloadConfig::default().with_dpu().validate().is_ok());
+    /// let err = ZeroOffloadConfig::default().with_dpu().without_offload().validate();
+    /// assert!(err.unwrap_err().contains("`offload: Cpu`"));
+    /// ```
+    pub fn validate(&self) -> Result<(), String> {
+        match (self.dpu_warmup, self.offload, self.optimizer_tier) {
+            (Some(_), OffloadDevice::None, _) => {
+                Err("`dpu_warmup` delays the offloaded CPU-Adam: it needs `offload: Cpu`".into())
+            }
+            (Some(_), _, tier) if tier != TierKind::Dram => Err(
+                "`dpu_warmup` keeps the optimizer states resident: it needs `optimizer_tier: Dram`"
+                    .into(),
+            ),
+            _ => Ok(()),
+        }
     }
 
     /// Enables DPU with the paper's 40-step warm-up.
@@ -262,6 +286,31 @@ mod tests {
         assert_eq!(c.offload, OffloadDevice::Cpu);
         assert!(c.dpu_warmup.is_none());
         assert_eq!(c.grad_accumulation, 1);
+    }
+
+    #[test]
+    fn dpu_is_refused_without_offload_or_off_dram() {
+        let dpu = ZeroOffloadConfig::default().with_dpu();
+        assert_eq!(dpu.validate(), Ok(()));
+        let err = dpu.without_offload().validate().unwrap_err();
+        assert!(
+            err.contains("`dpu_warmup`") && err.contains("`offload"),
+            "{err}"
+        );
+        let nvme = ZeroOffloadConfig {
+            optimizer_tier: TierKind::Nvme,
+            ..dpu
+        };
+        let err = nvme.validate().unwrap_err();
+        assert!(
+            err.contains("`dpu_warmup`") && err.contains("`optimizer_tier"),
+            "{err}"
+        );
+        let plain_nvme = ZeroOffloadConfig {
+            dpu_warmup: None,
+            ..nvme
+        };
+        assert_eq!(plain_nvme.validate(), Ok(()));
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! being **rounded through fp16** (the PCIe transfer), and the fp32 master
 //! parameters, momentum and variance live in a separate host-side buffer
 //! updated by [`CpuAdam`](zo_optim::CpuAdam) — optionally one step
-//! delayed (DPU), in which
-//! case the update runs on the [`AsyncDpu`](crate::AsyncDpu) optimizer
-//! thread overlapped with the next step's forward/backward.
+//! delayed (DPU), in which case the update runs on a scoped thread beside
+//! the next step's forward/backward.
 //!
 //! The step state machine itself lives in [`crate::pipeline`]; this module
 //! supplies the one [`Placement`] it runs over and the public engine type.
@@ -399,6 +398,10 @@ impl<M: Model> ZeroOffloadEngine<M> {
     /// The model's initial parameters become the fp32 master copy; the
     /// model itself is immediately switched to their fp16 rounding, as a
     /// GPU would hold them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ZeroOffloadConfig::validate`] refuses `cfg`.
     pub fn new(model: M, cfg: ZeroOffloadConfig) -> ZeroOffloadEngine<M> {
         let comm = Communicator::group(1).pop().expect("a one-rank group");
         ZeroOffloadEngine::on_rank(model, cfg, comm, Stage::Single)
@@ -409,12 +412,19 @@ impl<M: Model> ZeroOffloadEngine<M> {
     /// model is switched to the fp16 view the stage keeps on the device.
     /// At world > 1 every rank must construct concurrently, from
     /// identically initialized models (ZeRO-2 all-gathers here).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ZeroOffloadConfig::validate`] refuses `cfg`.
     pub(crate) fn on_rank(
         mut model: M,
         cfg: ZeroOffloadConfig,
         comm: Communicator,
         stage: Stage,
     ) -> ZeroOffloadEngine<M> {
+        if let Err(why) = cfg.validate() {
+            panic!("invalid ZeroOffloadConfig: {why}");
+        }
         let n = model.num_params();
         let (world, rank) = (comm.world(), comm.rank());
         let own = partition_range(n, world, rank);
@@ -842,6 +852,25 @@ mod tests {
             tail < head * 0.9,
             "DPU run did not converge: {head} -> {tail}"
         );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "`dpu_warmup` delays the offloaded CPU-Adam: it needs `offload: Cpu`"
+    )]
+    fn dpu_without_offload_is_refused_at_construction() {
+        let cfg = small_scale_cfg().with_dpu().without_offload();
+        ZeroOffloadEngine::new(tiny_model(1), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "`dpu_warmup` keeps the optimizer states resident")]
+    fn dpu_off_dram_is_refused_at_construction() {
+        let cfg = ZeroOffloadConfig {
+            optimizer_tier: crate::TierKind::Nvme,
+            ..small_scale_cfg().with_dpu()
+        };
+        ZeroOffloadEngine::new(tiny_model(1), cfg);
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub use checkpoint::{
 pub use config::{FaultsRef, OffloadDevice, TracerRef, ZeroOffloadConfig};
 pub use engine::{EngineStats, RankEngine, StepOutcome, ZeroOffloadEngine};
 pub use framing::{FrameError, FrameSpec};
-pub use overlap::{AsyncDpu, DpuUpdate};
 pub use perf::{IterStats, ZeroOffloadPerf};
 pub use pipeline::{GradStream, StepError};
 pub use tier::{DramTier, MemoryTier, NvmeTier, TierError, TierKind};

@@ -1,208 +1,178 @@
-//! Real CPU/compute overlap for DPU: the optimizer on its own thread.
+//! The delayed parameter update (paper Sec. 5.2, Fig. 6): the CPU-Adam
+//! update of step *p*'s gradients overlaps step *p+1*'s backward.
 //!
-//! The synchronous [`DelayedUpdate`](zo_optim::DelayedUpdate) reproduces
-//! DPU's *semantics*; this module reproduces its *mechanism*: the CPU-Adam
-//! step for step *i*'s gradients runs on a dedicated optimizer thread
-//! while the caller computes step *i+1*'s forward/backward, exactly the
-//! overlap of paper Fig. 6.
-//!
-//! Protocol per step (after warm-up):
-//!
-//! 1. [`AsyncDpu::submit`] hands the freshly transferred gradients to the
-//!    optimizer thread and returns immediately — the caller goes on to
-//!    compute the next micro-batch;
-//! 2. before the *following* parameter sync, [`AsyncDpu::wait_params`]
-//!    blocks until the in-flight update finishes and returns the fresh
-//!    fp16 parameters.
-//!
-//! Correctness is pinned by tests showing bit-identical trajectories to
-//! the synchronous [`DelayedUpdate`], and liveness by a test that submits
-//! work and observes the caller thread making progress before collecting.
+//! [`Dpu`] is the one implementation. It holds the resident [`CpuAdam`]
+//! plus a delay, and runs each deferred update on a scoped thread beside
+//! the next window-closing backward, which
+//! [`StepPipeline`](crate::pipeline::StepPipeline) hands it. The thread
+//! is joined inside that step, so nothing outlives a step: there is no
+//! worker to shut down, drain or respawn on restore.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use zo_optim::{AdamState, CpuAdam, CpuAdamConfig};
 use zo_tensor::F16;
+use zo_trace::Tracer;
 
-enum Job {
-    /// Run one Adam step with these (unscaled fp32) gradients.
-    Step(Vec<f32>),
-    /// Shut down.
-    Stop,
-}
+use crate::checkpoint::{CheckpointError, DpuCheckpoint};
 
-/// The result of one asynchronous optimizer step, snapshotted on the
-/// worker thread right after the update.
+/// The delayed parameter update (paper Sec. 5.2) over the resident
+/// [`CpuAdam`], bit-identical to the synchronous reference
+/// [`DelayedUpdate`](zo_optim::DelayedUpdate):
 ///
-/// Carrying the full `(p16, master, state)` triple — not just the fp16
-/// view — is what lets the caller keep a checkpoint-consistent mirror of
-/// the optimizer-side state without ever blocking on the worker outside
-/// the pipeline's natural wait point.
-pub struct DpuUpdate {
-    /// fp16 snapshot of the master parameters after the update.
-    pub p16: Vec<F16>,
-    /// fp32 master parameters after the update.
-    pub master: Vec<f32>,
-    /// Adam moment state after the update.
-    pub state: AdamState,
-    /// Optimizer steps completed so far.
-    pub steps: u64,
+/// * steps `1..=warmup` update inline, exactly like
+///   [`Updater::Cpu`](crate::pipeline::Updater::Cpu);
+/// * the first step after the warm-up stashes its gradients and leaves the
+///   parameters alone (the transition step);
+/// * every later step's backward runs beside a scoped thread that computes
+///   the stashed gradients' update ([`Dpu::beside`]), and the step's update
+///   stage swaps that result in and stashes the step's own gradients.
+///
+/// The deferred update writes a scratch copy of the master, moments and
+/// fp16 view, allocated once, never the live state. A step skipped for
+/// overflow, or failed before its update stage, therefore leaves the live
+/// state and the stash as they were, and the next step recomputes the same
+/// update from the same inputs. No update outlives the step that launched
+/// it, so checkpoints read the live state directly.
+pub(crate) struct Dpu {
+    /// The live optimizer: moments as of the last applied update.
+    opt: CpuAdam,
+    warmup: u64,
+    /// Steps observed so far (the schedule's clock).
+    steps_seen: u64,
+    /// Gradients awaiting the next step's deferred update.
+    pending: Option<Vec<f32>>,
+    /// Scratch the deferred update writes; swapped in when applied.
+    next: CpuAdam,
+    next_master: Vec<f32>,
+    next_p16: Vec<F16>,
+    tracer: Tracer,
+    track: String,
 }
 
-/// An optimizer thread owning the fp32 master parameters.
-pub struct AsyncDpu {
-    tx: Sender<Job>,
-    rx: Receiver<DpuUpdate>,
-    worker: Option<std::thread::JoinHandle<Vec<f32>>>,
-    in_flight: bool,
-}
-
-impl AsyncDpu {
-    /// Spawns the optimizer thread, transferring ownership of the master
-    /// parameters to it (they live in "CPU memory").
-    pub fn spawn(master: Vec<f32>, cfg: CpuAdamConfig) -> AsyncDpu {
-        AsyncDpu::spawn_traced(master, cfg, zo_trace::Tracer::disabled())
-    }
-
-    /// Like [`AsyncDpu::spawn`], additionally recording each update as a
-    /// `cpu_adam_step` span on the `optimizer` track (plus an
-    /// `optimizer_steps` counter). Because the span is recorded from the
-    /// worker thread against the tracer's shared epoch, its wall-clock
-    /// overlap with caller-side spans is directly checkable — the Fig. 6
-    /// overlap becomes an assertable fact rather than a diagram.
-    pub fn spawn_traced(
-        master: Vec<f32>,
+impl Dpu {
+    pub(crate) fn new(
         cfg: CpuAdamConfig,
-        tracer: zo_trace::Tracer,
-    ) -> AsyncDpu {
-        AsyncDpu::spawn_on_track(master, cfg, None, tracer, "optimizer")
-    }
-
-    /// The general constructor: optionally restores a previous
-    /// [`AdamState`] (checkpoint resume) and records worker spans on
-    /// `track` so several workers (e.g. one per ZeRO-2 rank) stay apart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is given with a length other than `master.len()`.
-    pub fn spawn_on_track(
-        master: Vec<f32>,
-        cfg: CpuAdamConfig,
-        state: Option<AdamState>,
-        tracer: zo_trace::Tracer,
+        n: usize,
+        warmup: u64,
+        tracer: &Tracer,
         track: &str,
-    ) -> AsyncDpu {
-        if let Some(s) = &state {
-            assert_eq!(s.len(), master.len(), "restored state length");
-        }
-        let track = track.to_string();
-        let (job_tx, job_rx) = bounded::<Job>(1);
-        let (done_tx, done_rx) = bounded::<DpuUpdate>(1);
-        let worker = std::thread::spawn(move || {
-            let mut master = master;
-            let mut opt = CpuAdam::new(cfg, master.len());
-            if let Some(s) = state {
-                opt.load_state(s).expect("state length checked above");
-            }
-            let mut p16 = vec![F16::ZERO; master.len()];
-            while let Ok(job) = job_rx.recv() {
-                match job {
-                    Job::Step(grads) => {
-                        {
-                            let _update = tracer.span(&track, "cpu_adam_step");
-                            opt.step_mixed(&mut master, &grads, &mut p16)
-                                .expect("worker buffers are sized together");
-                        }
-                        tracer.add(&track, "optimizer_steps", 1);
-                        let done = DpuUpdate {
-                            p16: p16.clone(),
-                            master: master.clone(),
-                            state: opt.state().clone(),
-                            steps: opt.step_count(),
-                        };
-                        if done_tx.send(done).is_err() {
-                            break;
-                        }
-                    }
-                    Job::Stop => break,
-                }
-            }
-            master
-        });
-        AsyncDpu {
-            tx: job_tx,
-            rx: done_rx,
-            worker: Some(worker),
-            in_flight: false,
+    ) -> Dpu {
+        Dpu {
+            opt: CpuAdam::new(cfg, n),
+            warmup,
+            steps_seen: 0,
+            pending: None,
+            next: CpuAdam::new(cfg, n),
+            next_master: vec![0.0; n],
+            next_p16: vec![F16::ZERO; n],
+            tracer: tracer.clone(),
+            track: track.to_string(),
         }
     }
 
-    /// Submits gradients for an asynchronous update; returns immediately.
+    /// Runs `backward` beside the deferred update of the stashed
+    /// gradients, if any; returns its result and whether the update ran.
+    /// The update thread starts here, after the caller has opened
+    /// `fwd_bwd`, and is joined once `backward` returns, so any wait on it
+    /// follows the span instead of hiding inside it. The update is one
+    /// `cpu_adam_step` span from launch to done, recorded at the join —
+    /// also when the step is then skipped, because the work still ran.
+    pub(crate) fn beside<R>(&mut self, master: &[f32], backward: impl FnOnce() -> R) -> (R, bool) {
+        let Some(grads) = self.pending.as_deref() else {
+            return (backward(), false);
+        };
+        std::thread::scope(|s| {
+            let start_us = self.tracer.now_us();
+            let update = s.spawn(|| {
+                self.next.copy_state_from(&self.opt);
+                self.next_master.copy_from_slice(master);
+                self.next
+                    .step_mixed(&mut self.next_master, grads, &mut self.next_p16)
+                    .expect("DPU buffers are sized together");
+                self.tracer.now_us()
+            });
+            let out = backward();
+            let end_us = update
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            let dur_us = end_us.saturating_sub(start_us);
+            self.tracer
+                .record_span(&self.track, "cpu_adam_step", start_us, dur_us);
+            (out, true)
+        })
+    }
+
+    /// The update stage of an applied step: a warm-up update inline, or
+    /// the deferred update swapped in, then this step's gradients stashed
+    /// by swapping buffers with `grads`. Each applied update counts one
+    /// `optimizer_steps`.
     ///
     /// # Panics
     ///
-    /// Panics if an update is already in flight (callers must
-    /// [`AsyncDpu::wait_params`] first) or the worker died.
-    pub fn submit(&mut self, grads: Vec<f32>) {
-        assert!(!self.in_flight, "an update is already in flight");
-        self.tx
-            .send(Job::Step(grads))
-            .expect("optimizer thread alive");
-        self.in_flight = true;
-    }
-
-    /// Whether an update is currently in flight.
-    pub fn in_flight(&self) -> bool {
-        self.in_flight
-    }
-
-    /// Blocks until the in-flight update completes; returns the full
-    /// update snapshot (fp16 and fp32 parameters, Adam state, step count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no update is in flight or the worker died.
-    pub fn wait_update(&mut self) -> DpuUpdate {
-        assert!(self.in_flight, "no update in flight");
-        let done = self.rx.recv().expect("optimizer thread alive");
-        self.in_flight = false;
-        done
-    }
-
-    /// Blocks until the in-flight update completes; returns the fp16
-    /// parameters and the optimizer step count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no update is in flight or the worker died.
-    pub fn wait_params(&mut self) -> (Vec<F16>, u64) {
-        let done = self.wait_update();
-        (done.p16, done.steps)
-    }
-
-    /// The single shutdown path shared by [`AsyncDpu::shutdown`] and
-    /// `Drop`: drain any in-flight update, stop the worker, join it.
-    /// Returns `None` if the worker was already gone or panicked.
-    fn shutdown_inner(&mut self) -> Option<Vec<f32>> {
-        let worker = self.worker.take()?;
-        if self.in_flight {
-            let _ = self.rx.recv();
-            self.in_flight = false;
+    /// Panics if a gradient is stashed but the update did not run
+    /// `beside` this step's backward.
+    pub(crate) fn step(
+        &mut self,
+        ran: bool,
+        grads: &mut Vec<f32>,
+        master: &mut Vec<f32>,
+        p16: &mut Vec<F16>,
+    ) {
+        self.steps_seen += 1;
+        if self.steps_seen <= self.warmup {
+            let _update = self.tracer.span(&self.track, "cpu_adam_step");
+            self.opt
+                .step_mixed(master, grads, p16)
+                .expect("pipeline buffers are sized together");
+        } else if let Some(stash) = &mut self.pending {
+            assert!(ran, "the stashed update runs beside this step's backward");
+            core::mem::swap(&mut self.opt, &mut self.next);
+            core::mem::swap(master, &mut self.next_master);
+            core::mem::swap(p16, &mut self.next_p16);
+            core::mem::swap(stash, grads);
+        } else {
+            // The transition step: the stash's one allocation.
+            self.pending = Some(core::mem::replace(grads, vec![0.0; grads.len()]));
+            return;
         }
-        let _ = self.tx.send(Job::Stop);
-        worker.join().ok()
+        self.tracer.add(&self.track, "optimizer_steps", 1);
     }
 
-    /// Stops the worker and returns the final master parameters.
-    ///
-    /// Drains any in-flight update first (its result is the final state).
-    pub fn shutdown(mut self) -> Vec<f32> {
-        self.shutdown_inner().expect("optimizer thread panicked")
+    /// The live optimizer state and the DPU bookkeeping, as a checkpoint
+    /// records them. No update is in flight between steps, so the live
+    /// state is the whole truth.
+    pub(crate) fn checkpoint(&self) -> (AdamState, DpuCheckpoint) {
+        let dpu = DpuCheckpoint {
+            steps_seen: self.steps_seen,
+            pending: self.pending.clone(),
+        };
+        (self.opt.state().clone(), dpu)
     }
-}
 
-impl Drop for AsyncDpu {
-    fn drop(&mut self) {
-        let _ = self.shutdown_inner();
+    /// Restores what [`Dpu::checkpoint`] recorded. A state or stashed
+    /// gradient of another length than this shard is a
+    /// [`CheckpointError::SizeMismatch`], and nothing is restored.
+    pub(crate) fn restore(
+        &mut self,
+        optim: &AdamState,
+        dpu: &DpuCheckpoint,
+    ) -> Result<(), CheckpointError> {
+        let n = self.next_master.len();
+        let bad = [Some(optim.len()), dpu.pending.as_ref().map(Vec::len)]
+            .into_iter()
+            .flatten()
+            .find(|&len| len != n);
+        if let Some(len) = bad {
+            return Err(CheckpointError::SizeMismatch {
+                checkpoint: len,
+                engine: n,
+            });
+        }
+        self.opt
+            .load_state(optim.clone())
+            .expect("state length checked above");
+        self.steps_seen = dpu.steps_seen;
+        self.pending = dpu.pending.clone();
+        Ok(())
     }
 }
 
@@ -210,6 +180,7 @@ impl Drop for AsyncDpu {
 mod tests {
     use super::*;
     use zo_optim::DelayedUpdate;
+    use zo_tensor::cast_f32_to_f16;
 
     fn grads_for(step: usize, n: usize) -> Vec<f32> {
         (0..n)
@@ -217,157 +188,167 @@ mod tests {
             .collect()
     }
 
+    /// Drives a [`Dpu`] and the synchronous [`DelayedUpdate`] through
+    /// `steps` steps and asserts the master and fp16 view bit-identical
+    /// after every applied step. On a step in `skipped` the deferred
+    /// update is computed beside the "backward" and then dropped
+    /// unapplied, as the pipeline drops it on an overflow skip; the
+    /// reference sees no call at all.
+    fn assert_matches_delayed_update(n: usize, warmup: u64, steps: usize, skipped: &[usize]) {
+        let cfg = CpuAdamConfig::default();
+        let mut master: Vec<f32> = (0..n).map(|i| 0.1 * i as f32 - 4.0).collect();
+        let mut p_ref = master.clone();
+        let mut p16 = vec![F16::ZERO; n];
+        cast_f32_to_f16(&master, &mut p16);
+        let mut dpu = Dpu::new(cfg, n, warmup, &Tracer::disabled(), "optimizer");
+        let mut reference = DelayedUpdate::new(CpuAdam::new(cfg, n), warmup);
+        for step in 0..steps {
+            let (loss, ran) = dpu.beside(&master, || step as f32);
+            assert_eq!(loss, step as f32);
+            assert_eq!(ran, dpu.pending.is_some());
+            if skipped.contains(&step) {
+                continue;
+            }
+            dpu.step(ran, &mut grads_for(step, n), &mut master, &mut p16);
+            reference.step(&mut p_ref, &grads_for(step, n)).unwrap();
+            assert_eq!(master, p_ref, "master after step {step}");
+            let mut p16_ref = vec![F16::ZERO; n];
+            cast_f32_to_f16(&p_ref, &mut p16_ref);
+            assert_eq!(p16, p16_ref, "fp16 view after step {step}");
+        }
+        assert!(dpu.pending.is_some() && reference.has_pending());
+    }
+
+    /// The scoped-thread DPU is the synchronous reference bit for bit
+    /// through the warm-up, the transition step, the steady state and an
+    /// overflow-skipped step.
     #[test]
     fn matches_synchronous_dpu_bitwise() {
-        let n = 97;
-        let steps = 6;
-        let master: Vec<f32> = (0..n).map(|i| 0.1 * i as f32 - 4.0).collect();
-
-        // Async pipeline: submit step i, compute "next batch", wait.
-        let mut dpu = AsyncDpu::spawn(master.clone(), CpuAdamConfig::default());
-        let mut last_p16 = None;
-        for step in 0..steps {
-            dpu.submit(grads_for(step, n));
-            // (The caller would run forward/backward here, overlapped.)
-            let (p16, count) = dpu.wait_params();
-            assert_eq!(count, step as u64 + 1);
-            last_p16 = Some(p16);
-        }
-        let final_master = dpu.shutdown();
-
-        // Synchronous reference: DelayedUpdate with warm-up 0 applies the
-        // same gradients one call later; emulate the same effective order
-        // by applying each gradient eagerly (the async path above is
-        // eager within a submit/wait pair).
-        let mut opt = CpuAdam::new(CpuAdamConfig::default(), n);
-        let mut p_ref = master;
-        let mut p16_ref = vec![F16::ZERO; n];
-        for step in 0..steps {
-            opt.step_mixed(&mut p_ref, &grads_for(step, n), &mut p16_ref)
-                .unwrap();
-        }
-        assert_eq!(final_master, p_ref);
-        assert_eq!(last_p16.unwrap(), p16_ref);
+        assert_matches_delayed_update(97, 2, 9, &[5]);
     }
 
+    /// Without a warm-up an update is in flight across every step from
+    /// the second on — the pipelined use — and the parameters step *i+1*
+    /// trains on come from step *i−1*'s gradients, exactly
+    /// `DelayedUpdate` with warm-up 0, also when the step right after the
+    /// transition and a later one are skipped.
     #[test]
     fn pipelined_use_matches_delayed_update_semantics() {
-        // True DPU pipeline: keep one update in flight across steps, so
-        // the parameters used at step i+1 come from step i-1's gradients —
-        // exactly DelayedUpdate with warm-up 0.
-        let n = 40;
-        let steps = 7;
-        let master: Vec<f32> = (0..n).map(|i| 0.05 * i as f32).collect();
-
-        let mut dpu = AsyncDpu::spawn(master.clone(), CpuAdamConfig::default());
-        let mut applied_p16: Vec<Vec<F16>> = Vec::new();
-        for step in 0..steps {
-            if dpu.in_flight() {
-                let (p16, _) = dpu.wait_params();
-                applied_p16.push(p16);
-            }
-            dpu.submit(grads_for(step, n));
-            // Caller computes step `step + 1`'s batch here, overlapped with
-            // the update of step `step`'s gradients.
-        }
-        let final_master = dpu.shutdown();
-
-        // Synchronous DPU reference.
-        let mut sync = DelayedUpdate::new(CpuAdam::new(CpuAdamConfig::default(), n), 0);
-        let mut p_ref = master;
-        for step in 0..steps {
-            sync.step(&mut p_ref, &grads_for(step, n)).unwrap();
-        }
-        sync.flush(&mut p_ref).unwrap();
-        assert_eq!(final_master, p_ref);
-        // The pipeline produced steps-1 parameter snapshots while running
-        // (the last gradient was drained at shutdown).
-        assert_eq!(applied_p16.len(), steps - 1);
+        assert_matches_delayed_update(40, 0, 7, &[1, 4]);
     }
 
-    #[test]
-    fn caller_progresses_while_update_in_flight() {
-        // Liveness: submit returns before the update completes; the caller
-        // can do real work in between. Use a large buffer so the update
-        // takes measurable time even on a fast machine.
-        let n = 1 << 21;
-        let mut dpu = AsyncDpu::spawn(vec![0.5; n], CpuAdamConfig::default());
-        dpu.submit(vec![0.01; n]);
-        assert!(dpu.in_flight());
-        // Caller-side "forward pass" while the optimizer thread works.
-        let mut acc = 0.0f64;
-        for i in 0..100_000 {
-            acc += (i as f64).sqrt();
-        }
-        assert!(acc > 0.0);
-        let (p16, steps) = dpu.wait_params();
-        assert_eq!(steps, 1);
-        assert_eq!(p16.len(), n);
-        assert!(!dpu.in_flight());
-        dpu.shutdown();
-    }
-
+    /// Fig. 6 on the schedule: every deferred update is launched before
+    /// the caller's next `fwd_bwd` opens and joined (its span recorded)
+    /// after that span closes, so the caller's forward runs while the
+    /// update is in flight. Instants ordered by the program and the
+    /// tracer's completion order decide; no duration is read.
     #[test]
     fn traced_update_overlaps_callers_next_forward() {
-        // Fig. 6 as a wall-clock fact: the optimizer span for step i's
-        // gradients must run concurrently with the caller-side span that
-        // stands in for step i+1's forward/backward. Spans from both
-        // threads share the tracer's epoch, so overlap is checkable.
-        let tracer = zo_trace::Tracer::new();
-        let n = 1 << 21;
-        let steps = 3;
-        let mut dpu =
-            AsyncDpu::spawn_traced(vec![0.5; n], CpuAdamConfig::default(), tracer.clone());
+        let tracer = Tracer::new();
+        let (n, steps) = (1 << 12, 4);
+        let mut dpu = Dpu::new(CpuAdamConfig::default(), n, 0, &tracer, "optimizer");
+        let (mut master, mut p16, mut grads) = (vec![0.5; n], vec![F16::ZERO; n], vec![0.0; n]);
         for step in 0..steps {
-            dpu.submit(grads_for(step, n));
-            {
+            grads.copy_from_slice(&grads_for(step, n));
+            let ((), ran) = dpu.beside(&master, || {
                 let _fwd = tracer.span("gpu", "fwd_bwd");
-                // Caller-side compute while the update is in flight; big
-                // enough to take real time even on a fast machine.
-                let mut acc = 0.0f64;
-                for i in 0..2_000_000u64 {
-                    acc += (i as f64).sqrt();
-                }
-                assert!(acc > 0.0);
-            }
-            let _ = dpu.wait_params();
+            });
+            assert_eq!(ran, step > 0, "step {step}");
+            dpu.step(ran, &mut grads, &mut master, &mut p16);
         }
-        dpu.shutdown();
 
         let updates = tracer.spans_named("cpu_adam_step");
         let forwards = tracer.spans_named("fwd_bwd");
-        assert_eq!(updates.len(), steps);
+        assert_eq!(updates.len(), steps - 1);
         assert_eq!(forwards.len(), steps);
         assert_eq!(
             tracer.counter_on("optimizer", "optimizer_steps"),
-            steps as u64
+            steps as u64 - 1
         );
-        // Each step's update should overlap that step's caller-side work;
-        // demand a majority so one unlucky scheduling stall cannot flake
-        // the test, while genuinely serial execution still fails it.
-        let overlapped = updates
-            .iter()
-            .zip(&forwards)
-            .filter(|(u, f)| u.overlaps(f))
-            .count();
+        let spans = tracer.spans();
+        let position = |name: &str, nth: usize| {
+            spans
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.name == name)
+                .nth(nth)
+                .map(|(i, _)| i)
+                .unwrap()
+        };
+        for k in 1..steps {
+            assert!(
+                updates[k - 1].start_us <= forwards[k].start_us,
+                "update {} launched after step {k}'s forward opened",
+                k - 1
+            );
+            assert!(
+                position("fwd_bwd", k) < position("cpu_adam_step", k - 1),
+                "update {} joined before step {k}'s forward closed",
+                k - 1
+            );
+        }
+    }
+
+    /// After the transition step the delayed update only swaps buffers:
+    /// every step rotates the same allocations and allocates none.
+    #[test]
+    fn steady_state_dpu_steps_reuse_their_buffers() {
+        let n = 64;
+        let mut dpu = Dpu::new(
+            CpuAdamConfig::default(),
+            n,
+            1,
+            &Tracer::disabled(),
+            "optimizer",
+        );
+        let (mut master, mut p16, mut grads) = (vec![0.5; n], vec![F16::ZERO; n], vec![0.0; n]);
+        let mut buffers = Vec::new();
+        for step in 0..8 {
+            grads.copy_from_slice(&grads_for(step, n));
+            let (_, ran) = dpu.beside(&master, || ());
+            dpu.step(ran, &mut grads, &mut master, &mut p16);
+            let mut now = [
+                master.as_ptr() as usize,
+                dpu.next_master.as_ptr() as usize,
+                grads.as_ptr() as usize,
+                dpu.pending.as_ref().map_or(0, |p| p.as_ptr() as usize),
+                p16.as_ptr() as usize,
+                dpu.next_p16.as_ptr() as usize,
+                dpu.opt.state().m.as_ptr() as usize,
+                dpu.next.state().m.as_ptr() as usize,
+            ];
+            now.sort_unstable();
+            buffers.push(now);
+        }
         assert!(
-            overlapped * 2 > steps,
-            "only {overlapped}/{steps} updates overlapped the next forward"
+            buffers[1..].iter().all(|b| *b == buffers[1]),
+            "{buffers:x?}"
         );
     }
 
+    /// A checkpoint whose stashed gradient is not shard-sized is refused
+    /// at restore, before the next step's update thread would meet it.
     #[test]
-    #[should_panic(expected = "already in flight")]
-    fn double_submit_rejected() {
-        let mut dpu = AsyncDpu::spawn(vec![0.0; 4], CpuAdamConfig::default());
-        dpu.submit(vec![0.1; 4]);
-        dpu.submit(vec![0.1; 4]);
-    }
-
-    #[test]
-    fn drop_with_in_flight_update_is_clean() {
-        let mut dpu = AsyncDpu::spawn(vec![0.0; 1024], CpuAdamConfig::default());
-        dpu.submit(vec![0.1; 1024]);
-        drop(dpu); // Must not hang or panic.
+    fn restore_rejects_a_stash_of_another_length() {
+        let n = 28;
+        let mut dpu = Dpu::new(
+            CpuAdamConfig::default(),
+            n,
+            0,
+            &Tracer::disabled(),
+            "optimizer",
+        );
+        let (state, mut ckpt) = dpu.checkpoint();
+        ckpt.pending = Some(vec![0.0; 5]);
+        assert_eq!(
+            dpu.restore(&state, &ckpt),
+            Err(CheckpointError::SizeMismatch {
+                checkpoint: 5,
+                engine: n
+            })
+        );
+        ckpt.pending = Some(vec![0.0; n]);
+        assert_eq!(dpu.restore(&state, &ckpt), Ok(()));
+        assert_eq!(dpu.pending.as_deref(), Some(&[0.0; 28][..]));
     }
 }

@@ -14,24 +14,24 @@
 //!   [`GradBucketer`](crate::bucket::GradBucketer) wire path from *inside*
 //!   backward, so the `grad_offload` span interleaves with `fwd_bwd`
 //!   instead of following it.
-//! * **Asynchronous DPU** — [`PipelinedDpu`] drives the
-//!   [`AsyncDpu`](crate::AsyncDpu) optimizer thread: after the transfer of
-//!   step *i*'s gradients it submits them and returns immediately, so the
-//!   CPU Adam step runs while the caller computes step *i+1*'s
-//!   forward/backward; the result is collected at step *i+1*'s update
-//!   stage. The observable arithmetic is bit-identical to the synchronous
-//!   [`DelayedUpdate`](zo_optim::DelayedUpdate).
+//! * **Delayed parameter update** — [`Dpu`] stashes step *i*'s
+//!   gradients, and step *i+1*'s backward runs beside a scoped thread
+//!   that computes their CPU-Adam update; step *i+1*'s update stage swaps
+//!   the result in. The observable arithmetic is bit-identical to the
+//!   synchronous [`DelayedUpdate`](zo_optim::DelayedUpdate).
 
 use zo_fault::{with_retry, FaultError, FaultSession, Site};
 use zo_nn::{BackwardHook, Model};
-use zo_optim::{adam_reference_step, AdamParams, AdamState, CpuAdamConfig, DynamicLossScaler};
+use zo_optim::{
+    adam_reference_step, AdamParams, AdamState, CpuAdam, CpuAdamConfig, DynamicLossScaler,
+};
 use zo_tensor::{cast_f32_to_f16, F16};
 use zo_trace::{names, Tracer};
 
 use crate::bucket::GradBucketer;
 use crate::config::{OffloadDevice, ZeroOffloadConfig};
 use crate::engine::{EngineStats, Placement, StepOutcome};
-use crate::overlap::AsyncDpu;
+use crate::overlap::Dpu;
 use crate::tier::{NvmeTier, TierError, TierKind, TieredAdam, TieredStepError};
 
 /// Why a training step failed.
@@ -108,9 +108,9 @@ pub(crate) enum Updater {
     /// Non-offload reference path (scalar Adam, same recurrence).
     Reference(AdamState, AdamParams),
     /// The offloaded CPU-Adam, synchronous.
-    Cpu(zo_optim::CpuAdam),
-    /// CPU-Adam on the optimizer thread, one step delayed (async DPU).
-    Async(PipelinedDpu),
+    Cpu(CpuAdam),
+    /// The offloaded CPU-Adam, one step delayed beside the next backward.
+    Dpu(Dpu),
     /// The memory-tier streaming optimizer: fp32 states live on a
     /// [`MemoryTier`](crate::tier::MemoryTier) and the Adam update is
     /// tiled through a bounded DRAM scratch. Bit-identical to [`Cpu`].
@@ -123,14 +123,11 @@ pub(crate) enum Updater {
 /// offload knobs, for this rank's master shard.
 ///
 /// Without offload it is the scalar reference Adam. With offload,
-/// `dpu_warmup` wins over `optimizer_tier` — the DPU's
-/// optimizer thread owns a DRAM-resident copy of the states by design,
-/// so a tier setting is ignored while DPU is on. Otherwise
-/// [`TierKind::Dram`] is the classic resident [`CpuAdam`], and
-/// [`TierKind::Nvme`] streams the states through a file-backed
-/// [`NvmeTier`] under the configured DRAM scratch budget.
-///
-/// [`CpuAdam`]: zo_optim::CpuAdam
+/// [`TierKind::Dram`] is the classic resident [`CpuAdam`] — delayed by
+/// one step when `dpu_warmup` is set — and [`TierKind::Nvme`] streams the
+/// states through a file-backed [`NvmeTier`] under the configured DRAM
+/// scratch budget. [`ZeroOffloadConfig::validate`] has already refused
+/// DPU without offload or off DRAM.
 pub(crate) fn build_updater(
     cfg: &ZeroOffloadConfig,
     master: &[f32],
@@ -145,18 +142,12 @@ pub(crate) fn build_updater(
         num_threads: cfg.resolved_optimizer_threads(),
         tile_width: cfg.tile_width,
     };
-    if let Some(warmup) = cfg.dpu_warmup {
-        return Updater::Async(PipelinedDpu::spawn(
-            master.to_vec(),
-            opt_cfg,
-            warmup,
-            tracer.clone(),
-            track,
-        ));
-    }
-    match cfg.optimizer_tier {
-        TierKind::Dram => Updater::Cpu(zo_optim::CpuAdam::new(opt_cfg, master.len())),
-        TierKind::Nvme => Updater::Tiered(TieredAdam::new(
+    match (cfg.optimizer_tier, cfg.dpu_warmup) {
+        (TierKind::Dram, None) => Updater::Cpu(CpuAdam::new(opt_cfg, master.len())),
+        (TierKind::Dram, Some(warmup)) => {
+            Updater::Dpu(Dpu::new(opt_cfg, master.len(), warmup, tracer, track))
+        }
+        (TierKind::Nvme, _) => Updater::Tiered(TieredAdam::new(
             Box::new(NvmeTier::new().expect("create NVMe spill directory")),
             cfg.adam,
             master,
@@ -164,128 +155,6 @@ pub(crate) fn build_updater(
             tracer.clone(),
             track,
         )),
-    }
-}
-
-/// Drives the [`AsyncDpu`] optimizer thread with the delayed-parameter-
-/// update schedule, bit-identical to the synchronous
-/// [`DelayedUpdate`](zo_optim::DelayedUpdate):
-///
-/// * steps `1..=warmup`: submit and wait inline (no delay, no staleness);
-/// * first post-warmup step: stash the gradients, leave them in flight,
-///   and *do not* touch the parameters (the transition step);
-/// * every later step: collect the in-flight update (computed during this
-///   step's forward/backward — the Fig. 6 overlap), then put the current
-///   gradients in flight.
-///
-/// The struct keeps caller-side mirrors of the worker's Adam state that
-/// exclude any in-flight update, so a checkpoint taken mid-flight is
-/// identical to one taken by the synchronous path: master and moments as
-/// of the last *collected* update, plus the pending gradient.
-pub(crate) struct PipelinedDpu {
-    dpu: AsyncDpu,
-    cfg: CpuAdamConfig,
-    tracer: Tracer,
-    track: String,
-    warmup: u64,
-    steps_seen: u64,
-    pending: Option<Vec<f32>>,
-    /// Mirror of the worker's Adam state excluding in-flight work.
-    state: AdamState,
-}
-
-impl PipelinedDpu {
-    /// Spawns the optimizer thread owning a copy of `master`; the caller
-    /// keeps its own copy as the checkpoint-consistent mirror.
-    pub(crate) fn spawn(
-        master: Vec<f32>,
-        cfg: CpuAdamConfig,
-        warmup: u64,
-        tracer: Tracer,
-        track: &str,
-    ) -> PipelinedDpu {
-        let n = master.len();
-        PipelinedDpu {
-            dpu: AsyncDpu::spawn_on_track(master, cfg, None, tracer.clone(), track),
-            cfg,
-            tracer,
-            track: track.to_string(),
-            warmup,
-            steps_seen: 0,
-            pending: None,
-            state: AdamState::new(n),
-        }
-    }
-
-    /// One DPU step at the pipeline's update stage. `master` and `p16`
-    /// are the engine-side mirrors; on steps that apply an update they
-    /// are replaced with the worker's result.
-    pub(crate) fn step(&mut self, grads: &[f32], master: &mut Vec<f32>, p16: &mut Vec<F16>) {
-        self.steps_seen += 1;
-        if self.steps_seen <= self.warmup {
-            // Warm-up: synchronous semantics — submit and wait inline.
-            self.dpu.submit(grads.to_vec());
-            self.collect(master, p16);
-            return;
-        }
-        if self.pending.is_some() {
-            // Steady state: the previous step's update ran on the worker
-            // while this step's forward/backward executed; collect it now.
-            self.collect(master, p16);
-        }
-        // Put this step's gradients in flight; they apply one step later.
-        self.pending = Some(grads.to_vec());
-        self.dpu.submit(grads.to_vec());
-    }
-
-    /// Blocks on the in-flight update and installs it into the mirrors.
-    fn collect(&mut self, master: &mut Vec<f32>, p16: &mut Vec<F16>) {
-        let done = self.dpu.wait_update();
-        *master = done.master;
-        *p16 = done.p16;
-        self.state = done.state;
-        self.pending = None;
-    }
-
-    /// Adam-state mirror (excludes in-flight work) for checkpointing.
-    pub(crate) fn state(&self) -> &AdamState {
-        &self.state
-    }
-
-    /// Steps observed so far (the DPU schedule's clock).
-    pub(crate) fn steps_seen(&self) -> u64 {
-        self.steps_seen
-    }
-
-    /// The stashed in-flight gradient, if any.
-    pub(crate) fn pending(&self) -> Option<&[f32]> {
-        self.pending.as_deref()
-    }
-
-    /// Restores from a checkpoint: tears down the old worker (draining
-    /// any in-flight update) and spawns a fresh one owning the restored
-    /// master and moments; a restored pending gradient is re-submitted so
-    /// the schedule resumes exactly where it left off.
-    pub(crate) fn restore(
-        &mut self,
-        master: &[f32],
-        state: &AdamState,
-        steps_seen: u64,
-        pending: Option<Vec<f32>>,
-    ) {
-        self.dpu = AsyncDpu::spawn_on_track(
-            master.to_vec(),
-            self.cfg,
-            Some(state.clone()),
-            self.tracer.clone(),
-            &self.track,
-        );
-        self.state = state.clone();
-        self.steps_seen = steps_seen;
-        self.pending = pending;
-        if let Some(p) = &self.pending {
-            self.dpu.submit(p.clone());
-        }
     }
 }
 
@@ -468,10 +337,6 @@ impl StepPipeline {
     /// single-GPU engine the master spans the full model, for the sharded
     /// engines it is this rank's partition — the checkpoint is shard-sized
     /// either way, and the engine wrapper decides what "whole run" means.
-    ///
-    /// For the async DPU this reads the caller-side mirrors, which exclude
-    /// any in-flight update — the snapshot is identical to one taken by a
-    /// synchronous delayed update, without draining the worker.
     pub(crate) fn capture_state(&self) -> crate::checkpoint::TrainingCheckpoint {
         let (optim, dpu) = self.updater_state();
         crate::checkpoint::TrainingCheckpoint {
@@ -503,8 +368,8 @@ impl StepPipeline {
             });
         }
         self.master.copy_from_slice(&ckpt.master);
-        // Order matters: the Async/Tiered updaters re-mirror from the
-        // pipeline master, so it must already hold the checkpointed copy.
+        // Order matters: the tiered updater rewrites its partitions from
+        // the pipeline master, so it must already hold the checkpointed copy.
         self.set_updater_state(&ckpt.optim, ckpt.dpu.as_ref())?;
         self.scaler.restore(ckpt.loss_scale);
         self.stats.steps_applied = ckpt.steps_applied;
@@ -520,13 +385,10 @@ impl StepPipeline {
         match &self.updater {
             Updater::Reference(state, _) => (state.clone(), None),
             Updater::Cpu(opt) => (opt.state().clone(), None),
-            Updater::Async(dpu) => (
-                dpu.state().clone(),
-                Some(crate::checkpoint::DpuCheckpoint {
-                    steps_seen: dpu.steps_seen(),
-                    pending: dpu.pending().map(|p| p.to_vec()),
-                }),
-            ),
+            Updater::Dpu(dpu) => {
+                let (state, dpu) = dpu.checkpoint();
+                (state, Some(dpu))
+            }
             Updater::Tiered(tiered) => (tiered.state(), None),
         }
     }
@@ -551,13 +413,7 @@ impl StepPipeline {
             (Updater::Cpu(opt), None) => opt
                 .load_state(optim.clone())
                 .map_err(|_| mismatch(optim.len(), self.master.len())),
-            (Updater::Async(pipelined), Some(d)) => {
-                if optim.len() != self.master.len() {
-                    return Err(mismatch(optim.len(), self.master.len()));
-                }
-                pipelined.restore(&self.master, optim, d.steps_seen, d.pending.clone());
-                Ok(())
-            }
+            (Updater::Dpu(dpu), Some(d)) => dpu.restore(optim, d),
             (Updater::Tiered(tiered), None) => {
                 if optim.len() != self.master.len() {
                     return Err(mismatch(optim.len(), self.master.len()));
@@ -632,15 +488,24 @@ impl StepPipeline {
         // before compute starts; a fatal gather fault surfaces before any
         // state mutates, on every rank together (shared collective lane).
         placement.pre_forward(model, &self.p16, &self.tracer)?;
-        let loss = {
-            let _fwd = self.tracer.span(placement.track("gpu"), "fwd_bwd");
-            run_backward(model, stream).map_err(|e| {
-                // A failed backward leaves partial streamed state;
-                // disarm so the next window starts clean.
-                stream.armed = false;
-                StepError::Backward(e)
-            })?
+        let fwd = self.tracer.span(placement.track("gpu"), "fwd_bwd");
+        let backward = || {
+            let loss = run_backward(model, stream);
+            drop(fwd);
+            loss
         };
+        // A DPU's deferred update runs beside the window-closing backward.
+        let closing = self.micro_in_window + 1 >= self.grad_accumulation;
+        let (loss, ran) = match &mut self.updater {
+            Updater::Dpu(dpu) if closing => dpu.beside(&self.master, backward),
+            _ => (backward(), false),
+        };
+        let loss = loss.map_err(|e| {
+            // A failed backward leaves partial streamed state;
+            // disarm so the next window starts clean.
+            stream.armed = false;
+            StepError::Backward(e)
+        })?;
         self.micro_in_window += 1;
         if self.micro_in_window < self.grad_accumulation {
             return Ok(StepOutcome::Accumulating { loss });
@@ -732,7 +597,9 @@ impl StepPipeline {
                     opt.step_mixed(&mut self.master, &self.grads, &mut self.p16)
                         .expect("pipeline buffers are sized together");
                 }
-                Updater::Async(dpu) => dpu.step(&self.grads, &mut self.master, &mut self.p16),
+                Updater::Dpu(dpu) => {
+                    dpu.step(ran, &mut self.grads, &mut self.master, &mut self.p16)
+                }
                 Updater::Tiered(tiered) => tiered.step(
                     &self.grads,
                     &mut self.master,

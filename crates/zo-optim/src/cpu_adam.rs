@@ -278,6 +278,18 @@ impl CpuAdam {
         Ok(())
     }
 
+    /// Overwrites this optimizer's state with `other`'s in place, without
+    /// allocating (how a scratch optimizer is refreshed from a live one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two optimizers cover different parameter counts.
+    pub fn copy_state_from(&mut self, other: &CpuAdam) {
+        self.state.m.copy_from_slice(&other.state.m);
+        self.state.v.copy_from_slice(&other.state.v);
+        self.state.step = other.state.step;
+    }
+
     /// One Adam step over fp32 parameters and gradients.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) -> Result<(), OptimError> {
         self.step_with_tiles(params, grads, |_, _| {})

@@ -129,6 +129,7 @@ impl JobRuntime {
         if world == 0 {
             return Err(JobError::BadSpec("world size 0".into()));
         }
+        spec.config.validate().map_err(JobError::BadSpec)?;
         if spec.data == DataMode::Sliced && !spec.batch.is_multiple_of(world) {
             return Err(JobError::BadSpec(format!(
                 "batch {} not divisible by world {world}",

@@ -189,6 +189,27 @@ mod tests {
             .collect()
     }
 
+    /// A spec whose engine config refuses DPU is a typed error at
+    /// submit, before any engine is built.
+    #[test]
+    fn dpu_without_offload_or_off_dram_is_a_bad_spec() {
+        let mut no_offload = JobSpec::new("no-offload", GPT, 4);
+        no_offload.config = no_offload.config.with_dpu().without_offload();
+        let mut nvme = JobSpec::new("nvme", GPT, 4);
+        nvme.config = nvme.config.with_dpu();
+        nvme.config.optimizer_tier = zero_offload::TierKind::Nvme;
+        let mut service = Service::new(1);
+        for (spec, field) in [(no_offload, "`offload"), (nvme, "`optimizer_tier")] {
+            match service.submit(spec) {
+                Err(JobError::BadSpec(why)) => {
+                    assert!(why.contains("`dpu_warmup`") && why.contains(field), "{why}")
+                }
+                other => panic!("expected BadSpec naming {field}, got {other:?}"),
+            }
+        }
+        assert!(service.jobs.is_empty());
+    }
+
     #[test]
     fn equal_priority_jobs_share_equally() {
         let specs = ["a", "b", "c"].map(|n| JobSpec::new(n, GPT, 6)).to_vec();

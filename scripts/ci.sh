@@ -36,21 +36,46 @@ TEST_THREADS=(-- --test-threads=4)
 
 # ---------------------------------------------------------------- legs
 
-# `f32::mul_add` outside test code: on the baseline x86-64 target it
-# lowers to a libm `fmaf` call per element and blocks vectorization (it
-# cost GEMM ~40x and CpuAdam ~5x before it was found, twice). Comment
-# lines and everything from a file's `#[cfg(test)]` on are exempt.
-lint_no_mul_add() {
-    local hits
-    hits=$(awk '
+# Prints the lines of the given Rust files that match the awk regex $1,
+# leaving out comment lines and everything from a file's `#[cfg(test)]`
+# on.
+non_test_matches() {
+    local pattern=$1
+    shift
+    awk -v pattern="$pattern" '
         FNR == 1 { in_tests = 0 }
         /#\[cfg\(test\)\]/ { in_tests = 1 }
-        !in_tests && $0 !~ /^[[:space:]]*\/\// && /mul_add\(/ {
+        !in_tests && $0 !~ /^[[:space:]]*\/\// && $0 ~ pattern {
             printf "%s:%d: %s\n", FILENAME, FNR, $0
         }
-    ' crates/*/src/*.rs crates/*/src/bin/*.rs)
+    ' "$@"
+}
+
+# `f32::mul_add` outside test code: on the baseline x86-64 target it
+# lowers to a libm `fmaf` call per element and blocks vectorization (it
+# cost GEMM ~40x and CpuAdam ~5x before it was found, twice).
+lint_no_mul_add() {
+    local hits
+    hits=$(non_test_matches 'mul_add[(]' crates/*/src/*.rs crates/*/src/bin/*.rs)
     if [ -n "$hits" ]; then
         echo "FAIL: mul_add( in non-test code (write a * b + c):" >&2
+        echo "$hits" >&2
+        return 1
+    fi
+}
+
+# Background work is scoped: a detached `thread::spawn` or a
+# `thread::Builder` thread outlives the call that started it and needs a
+# shutdown, drain and join protocol of its own. Outside the shared worker
+# pool (`zo-tensor/src/pool.rs`), every thread in non-test code is a
+# `std::thread::scope` thread, joined before its caller returns.
+lint_scoped_threads() {
+    local hits files
+    files=$(ls crates/*/src/*.rs crates/*/src/bin/*.rs | grep -vx 'crates/zo-tensor/src/pool.rs')
+    # shellcheck disable=SC2086 # one path per word
+    hits=$(non_test_matches 'thread::(spawn[(]|Builder)' $files)
+    if [ -n "$hits" ]; then
+        echo "FAIL: unscoped thread in non-test code (use std::thread::scope):" >&2
         echo "$hits" >&2
         return 1
     fi
@@ -61,6 +86,7 @@ leg_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
     lint_no_mul_add
+    lint_scoped_threads
 }
 
 leg_test_debug() {

@@ -1,22 +1,24 @@
-//! The pipelined step executor's schedule claims, asserted on wall-clock
-//! trace data (paper Sec. 4.1 and Fig. 6):
+//! The pipelined step executor's schedule claims, asserted on trace data
+//! (paper Sec. 4.1 and Fig. 6):
 //!
 //! 1. with streamed offload, the `grad_offload` span *overlaps the same
 //!    step's* `fwd_bwd` span — gradients leave the device while backward
 //!    is still running;
-//! 2. with DPU enabled, the optimizer thread's `cpu_adam_step` span
-//!    *overlaps the next step's* `fwd_bwd` span — the CPU update hides
-//!    behind the accelerator's compute;
+//! 2. with DPU enabled, the update of step *k*'s gradients is launched
+//!    inside step *k+1*'s `fwd_bwd` span and collected after it — the CPU
+//!    update runs beside the accelerator's compute (checked on the
+//!    schedule, not on wall-clock overlap);
 //! 3. both are pure scheduling changes: trajectories stay bit-identical,
-//!    and a checkpoint taken while an update is in flight resumes exactly.
+//!    and a checkpoint taken while a gradient awaits its delayed update
+//!    resumes exactly.
 
 use zero_offload::{TracerRef, ZeroOffloadConfig, ZeroOffloadEngine};
 use zo_models::BigramLm;
 use zo_nn::{GptConfig, GptModel};
 use zo_optim::{AdamParams, LossScaleConfig};
 
-/// Large enough that forward/backward and the CPU Adam step take
-/// measurable wall-clock time — the overlap tests compare real spans.
+/// Large enough that forward/backward takes measurable wall-clock time —
+/// the streamed overlap test compares real spans.
 const GPT: GptConfig = GptConfig {
     vocab: 32,
     seq_len: 16,
@@ -151,12 +153,22 @@ fn streamed_trajectory_is_bit_identical_to_reference() {
     assert_eq!(streamed.stats(), post_hoc.stats());
 }
 
-/// One DPU training session; returns `(overlapped, eligible)` — how many
-/// post-warm-up optimizer-thread updates shared wall-clock time with the
-/// next step's `fwd_bwd`. Span-count structure and the warm-up
-/// synchronicity claim (deterministic by construction: the engine waits
-/// for warm-up updates before the next forward) are asserted here.
-fn dpu_overlap_session() -> (usize, usize) {
+/// Fig. 6: with delayed parameter update, "the CPU computation of the
+/// p-th step is overlapped with the GPU computation of the (p+1)-th
+/// step". Asserted on the schedule, not on wall-clock luck: for every
+/// step `k+1` after the warm-up, the update of step `k`'s gradients is
+/// launched after step `k+1`'s `fwd_bwd` opens and before its backward
+/// body starts, and joined (its span is recorded at the join) after that
+/// `fwd_bwd` closes — so after `run_backward` returned — and before the
+/// step's gradient transfer. Warm-up updates finish before the next
+/// step's `fwd_bwd` opens.
+///
+/// Every comparison is between two instants ordered by the program
+/// itself (the tracer's clock is monotonic), or a position in the
+/// tracer's completion order; no verdict reads a duration, so the test
+/// cannot flake on a loaded host.
+#[test]
+fn dpu_update_overlaps_next_steps_backward() {
     let tracer = zo_trace::Tracer::new();
     let warmup = 2usize;
     let cfg = ZeroOffloadConfig {
@@ -164,69 +176,62 @@ fn dpu_overlap_session() -> (usize, usize) {
         tracer: Some(TracerRef::install(tracer.clone())),
         ..cfg()
     };
-    let mut engine = ZeroOffloadEngine::new(GptModel::new(GPT, 7), cfg);
+    let mut engine = ZeroOffloadEngine::new(GptModel::new(GPT_SMALL, 7), cfg);
     let steps = 10;
+    let mut body_start = Vec::new();
     for b in batches(steps) {
         engine
-            .step(|m| m.train_step(&b.inputs, &b.targets, 8, GPT.seq_len, |_| {}))
+            .step(|m| {
+                body_start.push(tracer.now_us());
+                m.train_step(&b.inputs, &b.targets, 8, GPT.seq_len, |_| {})
+            })
             .unwrap();
     }
     assert_eq!(engine.stats().steps_applied, steps as u64);
 
+    let spans = tracer.spans();
+    let position = |name: &str, nth: usize| {
+        spans
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.name == name)
+            .nth(nth)
+            .map(|(i, _)| i)
+            .unwrap()
+    };
     let updates = tracer.spans_named("cpu_adam_step");
     let forwards = tracer.spans_named("fwd_bwd");
     assert_eq!(forwards.len(), steps);
-    // One worker update per applied step, minus the one still in flight
-    // when the trace is read (it drains at engine drop).
-    assert!(updates.len() >= steps - 1, "only {} updates", updates.len());
-
-    // During warm-up no update can overlap the next forward.
+    // Every applied update but the transition step's, none in flight.
+    assert_eq!(updates.len(), steps - 1);
+    assert_eq!(
+        tracer.counter_on("optimizer", "optimizer_steps"),
+        steps as u64 - 1
+    );
     for k in 0..warmup {
         assert!(
-            !updates[k].overlaps(&forwards[k + 1]),
-            "warm-up update {k} overlapped the next forward"
+            updates[k].end_us() <= forwards[k + 1].start_us,
+            "warm-up update {k} ran into the next step"
         );
     }
-    // Each later update `k` is submitted at the end of step `k` and runs
-    // while step `k+1` computes.
-    let eligible: Vec<usize> = (warmup..updates.len().min(steps - 1)).collect();
-    let overlapped = eligible
-        .iter()
-        .filter(|&&k| updates[k].overlaps(&forwards[k + 1]))
-        .count();
-    (overlapped, eligible.len())
-}
-
-/// Fig. 6: with delayed parameter update, "the CPU computation of the
-/// p-th step is overlapped with the GPU computation of the (p+1)-th
-/// step". The optimizer-thread span submitted at step `k` must run
-/// concurrently with step `k+1`'s forward/backward.
-///
-/// Asserted as an existence claim over a few independent sessions (see
-/// `streamed_grad_offload_overlaps_same_steps_backward`): at least one
-/// session must overlap a majority of its post-warm-up updates. A
-/// genuinely serial optimizer would fail every attempt.
-#[test]
-fn dpu_update_overlaps_next_steps_backward() {
-    let mut best = (0usize, 1usize);
-    for _ in 0..4 {
-        let (overlapped, eligible) = dpu_overlap_session();
-        if overlapped * 2 > eligible {
-            return;
-        }
-        if overlapped * best.1 > best.0 * eligible {
-            best = (overlapped, eligible);
-        }
+    for k in warmup..steps - 1 {
+        let (update, next) = (&updates[k], &forwards[k + 1]);
+        assert!(
+            next.start_us <= update.start_us && update.start_us <= body_start[k + 1],
+            "update {k} was not launched between step {}'s fwd_bwd opening and its backward",
+            k + 1
+        );
+        let joined = position("cpu_adam_step", k);
+        assert!(
+            position("fwd_bwd", k + 1) < joined && joined < position("grad_offload", k + 1),
+            "update {k} was not joined between step {}'s fwd_bwd and its transfer",
+            k + 1
+        );
     }
-    panic!(
-        "no session reached the overlap bar; best {}/{} post-warmup updates \
-         overlapped the next step's fwd_bwd",
-        best.0, best.1
-    );
 }
 
-/// A checkpoint taken while the optimizer thread still holds an in-flight
-/// update must capture the delayed-update semantics exactly: the stashed
+/// A checkpoint taken while a gradient awaits its delayed update must
+/// capture the delayed-update semantics exactly: the stashed
 /// gradient is saved, the snapshot round-trips through the checkpoint file
 /// format bit-exactly, and the resumed run matches an uninterrupted one
 /// bitwise.
@@ -249,9 +254,9 @@ fn checkpoint_with_update_in_flight_resumes_bitwise() {
         );
     }
 
-    // Interrupted run: past warm-up, `step` returns with the new update
-    // already submitted — the checkpoint below is taken while the
-    // optimizer thread works on it.
+    // Interrupted run: past warm-up, `step` returns with its gradients
+    // stashed for the next step's deferred update — the checkpoint below
+    // must carry them.
     let mut first = ZeroOffloadEngine::new(GptModel::new(GPT_SMALL, 9), dpu_cfg);
     for b in &all[..8] {
         first
@@ -264,8 +269,7 @@ fn checkpoint_with_update_in_flight_resumes_bitwise() {
         dpu_state.pending.is_some(),
         "past warm-up a gradient must be in flight at checkpoint time"
     );
-    // Dropping the engine drains the in-flight update cleanly; the saved
-    // snapshot must not be affected by it (it excludes in-flight work).
+    // The saved snapshot is independent of the engine it came from.
     let bytes = zero_offload::encode_checkpoint_bytes(&ckpt);
     drop(first);
     let reloaded = zero_offload::decode_checkpoint_bytes(&bytes).unwrap();
@@ -284,4 +288,155 @@ fn checkpoint_with_update_in_flight_resumes_bitwise() {
     }
     assert_eq!(&continuous_losses[8..], &tail[..]);
     assert_eq!(continuous.master_params(), resumed.master_params());
+}
+
+/// The DPU trajectory, pinned: `zo_serve::fingerprint_run` over the
+/// losses and final master of one world-1 run and one ZeRO-2 world-2 run.
+/// Each run takes overflow skips after the warm-up (a two-step
+/// loss-scale growth interval keeps the scale hitting fp16's ceiling)
+/// and is cut mid-run by a checkpoint that is encoded to bytes, decoded
+/// and resumed into a fresh engine. The values were recorded before the
+/// delayed update moved onto a scoped thread; the DPU's bits must not
+/// move with its mechanism.
+const DPU_PIN_WORLD1: u64 = 0xb2a5a90040bb6c61;
+const DPU_PIN_ZERO2: u64 = 0x9931ee21afb0a62f;
+
+const PIN_STEPS: usize = 18;
+const PIN_SPLIT: usize = 9;
+const PIN_WARMUP: usize = 3;
+
+fn pin_cfg() -> ZeroOffloadConfig {
+    ZeroOffloadConfig {
+        dpu_warmup: Some(PIN_WARMUP as u64),
+        loss_scale: LossScaleConfig {
+            init_scale: 16384.0,
+            growth_interval: 2,
+            ..Default::default()
+        },
+        ..cfg()
+    }
+}
+
+/// Steps `engine`'s rows of `all[range]`; returns the losses and the
+/// indices (into `all`) of the overflow-skipped steps.
+fn pin_steps<M: FnMut(&zo_models::LmBatch) -> zero_offload::StepOutcome>(
+    all: &[zo_models::LmBatch],
+    range: core::ops::Range<usize>,
+    mut step: M,
+) -> (Vec<f32>, Vec<usize>) {
+    let mut losses = Vec::new();
+    let mut skipped = Vec::new();
+    for i in range {
+        let out = step(&all[i]);
+        if matches!(out, zero_offload::StepOutcome::SkippedOverflow { .. }) {
+            skipped.push(i);
+        }
+        losses.push(out.loss());
+    }
+    (losses, skipped)
+}
+
+/// The skips the pin relies on happen after the warm-up and on both
+/// sides of the checkpoint.
+fn assert_pin_covers(skipped: &[usize]) {
+    assert!(
+        skipped.iter().any(|&i| i > PIN_WARMUP && i < PIN_SPLIT)
+            && skipped.iter().any(|&i| i >= PIN_SPLIT),
+        "the pinned run must skip steps after the warm-up on both sides of \
+         the checkpoint; skipped {skipped:?}"
+    );
+}
+
+fn dpu_pin_world1() -> u64 {
+    let all = batches(PIN_STEPS);
+    let train = |engine: &mut ZeroOffloadEngine<GptModel>, range| {
+        pin_steps(&all, range, |b| {
+            engine
+                .step(|m| m.train_step(&b.inputs, &b.targets, 8, GPT.seq_len, |_| {}))
+                .unwrap()
+        })
+    };
+    let mut first = ZeroOffloadEngine::new(GptModel::new(GPT_SMALL, 9), pin_cfg());
+    let (mut losses, mut skipped) = train(&mut first, 0..PIN_SPLIT);
+    let ckpt = first.save_checkpoint();
+    assert!(ckpt.dpu.as_ref().unwrap().pending.is_some());
+    let bytes = zero_offload::encode_checkpoint_bytes(&ckpt);
+    drop(first);
+    let mut resumed = ZeroOffloadEngine::new(GptModel::new(GPT_SMALL, 1), pin_cfg());
+    resumed
+        .restore_checkpoint(&zero_offload::decode_checkpoint_bytes(&bytes).unwrap())
+        .unwrap();
+    let (tail, tail_skipped) = train(&mut resumed, PIN_SPLIT..PIN_STEPS);
+    losses.extend(tail);
+    skipped.extend(tail_skipped);
+    assert_pin_covers(&skipped);
+    zo_serve::fingerprint_run(&losses, resumed.master_params())
+}
+
+fn dpu_pin_zero2() -> u64 {
+    const WORLD: usize = 2;
+    let all = batches(PIN_STEPS);
+    let rows = 8 / WORLD;
+    let train = |engine: &mut zero_offload::Zero2OffloadEngine<GptModel>, range| {
+        let r = engine.rank();
+        let cols = rows * GPT.seq_len;
+        pin_steps(&all, range, |b| {
+            let inputs = &b.inputs[r * cols..(r + 1) * cols];
+            let targets = &b.targets[r * cols..(r + 1) * cols];
+            engine
+                .step(|m| m.train_step(inputs, targets, rows, GPT.seq_len, |_| {}))
+                .unwrap()
+        })
+    };
+    let first = zero_offload::run_ranks(
+        WORLD,
+        pin_cfg(),
+        |_| GptModel::new(GPT_SMALL, 9),
+        |engine| {
+            let (losses, skipped) = train(engine, 0..PIN_SPLIT);
+            let ckpt = engine.save_checkpoint();
+            assert!(ckpt.dpu.as_ref().unwrap().pending.is_some());
+            (
+                losses,
+                skipped,
+                zero_offload::encode_checkpoint_bytes(&ckpt),
+            )
+        },
+    );
+    let resumed = zero_offload::run_ranks(
+        WORLD,
+        pin_cfg(),
+        |_| GptModel::new(GPT_SMALL, 1),
+        |engine| {
+            let bytes = &first[engine.rank()].2;
+            engine
+                .restore_checkpoint(&zero_offload::decode_checkpoint_bytes(bytes).unwrap())
+                .unwrap();
+            let (losses, skipped) = train(engine, PIN_SPLIT..PIN_STEPS);
+            (losses, skipped, engine.master_shard().to_vec())
+        },
+    );
+    let (mut losses, mut master) = (Vec::new(), Vec::new());
+    for rank in 0..WORLD {
+        let mut skipped = first[rank].1.clone();
+        skipped.extend(&resumed[rank].1);
+        assert_pin_covers(&skipped);
+        losses.extend(&first[rank].0);
+        losses.extend(&resumed[rank].0);
+        master.extend(&resumed[rank].2);
+    }
+    zo_serve::fingerprint_run(&losses, &master)
+}
+
+#[test]
+fn dpu_trajectory_matches_its_pin() {
+    let (world1, zero2) = (dpu_pin_world1(), dpu_pin_zero2());
+    assert_eq!(
+        (format!("{world1:016x}"), format!("{zero2:016x}")),
+        (
+            format!("{DPU_PIN_WORLD1:016x}"),
+            format!("{DPU_PIN_ZERO2:016x}")
+        ),
+        "DPU trajectory moved (world 1, ZeRO-2 world 2)"
+    );
 }
