@@ -8,7 +8,7 @@
 //! transfer path can ship while backward continues.
 //!
 //! Buckets bound the transient GPU staging memory (the `GRAD_BUCKET_BYTES`
-//! of the memory model): only the open bucket lives on the device.
+//! of `zo_baselines::memory`): only the open bucket lives on the device.
 
 use bytes::Bytes;
 use zo_tensor::F16;

@@ -17,8 +17,9 @@
 //!   with threads as ranks. Used for the convergence experiments.
 //! * **Simulated hardware** — [`ZeroOffloadPerf`] builds the paper's
 //!   schedule on the `zo-hetsim` stream simulator to project iteration
-//!   time, TFLOPS and scalability on the paper's V100/DGX-2 testbed; the
-//!   [`memory`] module computes trainable-model-scale limits.
+//!   time, TFLOPS and scalability on the paper's V100/DGX-2 testbed.
+//!   Trainable-model-scale limits are `zo_baselines::memory`'s, beside
+//!   every system the paper compares.
 //!
 //! ```
 //! use zero_offload::{ZeroOffloadConfig, ZeroOffloadEngine};
@@ -44,7 +45,6 @@ pub mod checkpoint;
 mod config;
 mod engine;
 pub mod framing;
-pub mod memory;
 mod overlap;
 mod perf;
 mod pipeline;

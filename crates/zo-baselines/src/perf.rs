@@ -31,7 +31,8 @@ impl BaselinePerf {
     }
 
     /// Steady-state iteration statistics, or `None` when the system does
-    /// not support the configuration (L2L has no multi-GPU mode).
+    /// not support the configuration (L2L has no multi-GPU mode) or the
+    /// model does not time the placement.
     pub fn iter_stats(
         &self,
         system: System,
@@ -45,7 +46,11 @@ impl BaselinePerf {
         let dp_ring = |n: u32| RingCost::new(n, self.cluster.collective_gbps(world), 5e-6);
 
         match system {
-            System::ZeroOffload { mp } => Some(ZeroOffloadPerf::new(self.cluster).iter_stats(
+            System::ZeroOffload {
+                mp,
+                stage3: false,
+                nvme: None,
+            } => Some(ZeroOffloadPerf::new(self.cluster).iter_stats(
                 cfg,
                 micro_batch,
                 total_batch,
@@ -70,7 +75,7 @@ impl BaselinePerf {
                 let secs = k as f64 * compute + exposed_comm + adam;
                 Some(stats(cfg, micro_batch, k, 1, secs, 0, 0))
             }
-            System::Zero2 => {
+            System::Zero { stage: 2 } => {
                 let k = (total_batch / (micro_batch * world)).max(1);
                 let compute = node
                     .gpu
@@ -134,6 +139,9 @@ impl BaselinePerf {
                 let h2d = (k as u64 * 2 + 14) * cfg.total_params();
                 Some(stats(cfg, micro_batch, k, 1, secs, d2h, h2d))
             }
+            // ZeRO-1/3 and ZeRO-Offload's stage-3 and NVMe placements are
+            // sized by the memory model but not timed.
+            System::Zero { .. } | System::ZeroOffload { .. } => None,
         }
     }
 }
@@ -174,13 +182,7 @@ mod tests {
         for label in [1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 13.0] {
             let c = zo_models::by_label(label).unwrap();
             let zo = perf()
-                .iter_stats(
-                    System::ZeroOffload { mp: 1 },
-                    &c.model,
-                    c.batch_per_gpu,
-                    512,
-                    1,
-                )
+                .iter_stats(System::zero_offload(1), &c.model, c.batch_per_gpu, 512, 1)
                 .unwrap();
             let l2l = perf()
                 .iter_stats(System::L2l, &c.model, c.batch_per_gpu, 512, 1)
@@ -210,7 +212,7 @@ mod tests {
         // GPU optimizer stall) beats PyTorch and Megatron.
         let c = zo_models::by_label(1.0).unwrap();
         let zo = perf()
-            .iter_stats(System::ZeroOffload { mp: 1 }, &c.model, 32, 512, 16)
+            .iter_stats(System::zero_offload(1), &c.model, 32, 512, 16)
             .unwrap();
         let pt = perf()
             .iter_stats(System::PyTorchDdp, &c.model, 8, 512, 16)
@@ -240,17 +242,18 @@ mod tests {
         let c = zo_models::by_label(10.0).unwrap();
         let node = presets::dgx2();
         // Memory: ZeRO-2 cannot fit 10B on few GPUs.
-        assert!(!crate::memory::fits(System::Zero2, &c.model, 4, &node));
-        assert!(crate::memory::fits(System::Zero2, &c.model, 32, &node));
+        let zero2 = System::Zero { stage: 2 };
+        assert!(!crate::memory::fits(zero2, &c.model, 4, 1, &node));
+        assert!(crate::memory::fits(zero2, &c.model, 32, 1, &node));
 
-        let mb_z2 = crate::memory::largest_micro_batch(System::Zero2, &c.model, 128, &node, 32)
-            .unwrap() as u32;
+        let mb_z2 =
+            crate::memory::largest_micro_batch(zero2, &c.model, 128, &node, 32).unwrap() as u32;
         let z2 = perf()
-            .iter_stats(System::Zero2, &c.model, mb_z2, 4096, 128)
+            .iter_stats(zero2, &c.model, mb_z2, 4096, 128)
             .unwrap();
         let zo = perf()
             .iter_stats(
-                System::ZeroOffload { mp: 1 },
+                System::zero_offload(1),
                 &c.model,
                 c.batch_per_gpu,
                 4096,

@@ -1,105 +1,41 @@
-//! The three ZeRO stages (paper Sec. 2, "ZeRO powered data parallel
-//! training"): memory and communication models for ZeRO-1/2/3.
+//! The three ZeRO stages side by side (paper Sec. 2, "ZeRO powered data
+//! parallel training"), as the `stages` bin prints them from the memory
+//! model.
 //!
 //! ZeRO-1 partitions optimizer states only; ZeRO-2 adds gradients; ZeRO-3
-//! adds parameters. ZeRO-Offload builds on stage 2 — these models exist to
-//! reproduce that design choice quantitatively: stage 2 is the most
-//! aggressive partitioning that still keeps communication at the data-
-//! parallel baseline volume, which is what lets the offload strategy keep
-//! its 4M-byte CPU↔GPU minimum on top.
+//! adds parameters. ZeRO-Offload builds on stage 2 — the table reproduces
+//! that design choice quantitatively: stage 2 is the most aggressive
+//! partitioning that still keeps communication at the data-parallel
+//! baseline volume, which is what lets the offload strategy keep its
+//! 4M-byte CPU↔GPU minimum on top.
 
-use zero_offload::memory as zo_mem;
 use zo_hetsim::NodeSpec;
-use zo_models::TransformerConfig;
 
-/// A ZeRO data-parallelism stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZeroStage {
-    /// Optimizer states partitioned (Pos).
-    Stage1,
-    /// Optimizer states + gradients partitioned (Pos+g).
-    Stage2,
-    /// Optimizer states + gradients + parameters partitioned (Pos+g+p).
-    Stage3,
-}
+use crate::memory::{max_trainable_params, state_bytes_per_gpu, System};
 
-impl ZeroStage {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ZeroStage::Stage1 => "ZeRO-1",
-            ZeroStage::Stage2 => "ZeRO-2",
-            ZeroStage::Stage3 => "ZeRO-3",
-        }
-    }
-}
-
-/// fp32 workspace of the fused partitioned update, bytes per local param.
-const UPDATE_TEMP: u64 = 4;
-
-/// Model-state bytes per GPU for `stage` at data parallelism `world`.
-pub fn state_bytes_per_gpu(stage: ZeroStage, params: u64, world: u64) -> u64 {
-    let n = world.max(1);
-    match stage {
-        // p16 + g16 replicated; optimizer (12M) + temp partitioned.
-        ZeroStage::Stage1 => 2 * params + 2 * params + (12 * params + UPDATE_TEMP * params) / n,
-        // p16 replicated; gradients + optimizer partitioned.
-        ZeroStage::Stage2 => 2 * params + (2 + 12 + UPDATE_TEMP) * params / n,
-        // Everything partitioned, plus a transient buffer of gathered
-        // parameters for the layer currently executing (counted by the
-        // caller via `stage3_working_bytes`).
-        ZeroStage::Stage3 => (2 + 2 + 12 + UPDATE_TEMP) * params / n,
-    }
-}
-
-/// ZeRO-3's transient gathered-parameter working set: two layers' fp16
-/// parameters (prefetch double-buffer).
-pub fn stage3_working_bytes(cfg: &TransformerConfig) -> u64 {
-    2 * 2 * cfg.params_per_layer()
-}
-
-/// GPU bytes per device, including activations.
-pub fn gpu_bytes(stage: ZeroStage, cfg: &TransformerConfig, world: u32, micro_batch: u64) -> u64 {
-    let base = state_bytes_per_gpu(stage, cfg.total_params(), world as u64);
-    let extra = if stage == ZeroStage::Stage3 {
-        stage3_working_bytes(cfg)
-    } else {
-        0
-    };
-    base + extra + cfg.activation_bytes(micro_batch)
-}
-
-/// Per-GPU communication volume per iteration, in multiples of M bytes.
+/// Per-GPU communication volume per iteration of a data-parallel
+/// placement, in multiples of M bytes; `None` for Megatron and L2L, whose
+/// traffic is activations and streamed layers.
 ///
 /// Baseline data parallelism all-reduces the 2M fp16 gradients (ring:
 /// ~2×2M on the wire). ZeRO-1/2 replace it with reduce-scatter + an
-/// all-gather of updated parameters — the same 4M total. ZeRO-3 must also
-/// all-gather parameters for forward *and* backward: 6M, a 1.5× increase
-/// (the cost the paper's Sec. 2 alludes to when picking stage 2).
-pub fn comm_volume_m(stage: ZeroStage) -> u32 {
-    match stage {
-        ZeroStage::Stage1 | ZeroStage::Stage2 => 4,
-        ZeroStage::Stage3 => 6,
+/// all-gather of updated parameters — the same 4M total, as does
+/// ZeRO-Offload between GPUs. Sharding the parameters (stage 3) must also
+/// all-gather them for forward *and* backward: 6M, a 1.5× increase (the
+/// cost the paper's Sec. 2 alludes to when picking stage 2).
+pub fn comm_volume_m(system: System) -> Option<u32> {
+    match system {
+        System::Zero { stage: 3.. } | System::ZeroOffload { stage3: true, .. } => Some(6),
+        System::PyTorchDdp | System::Zero { .. } | System::ZeroOffload { .. } => Some(4),
+        System::Megatron { .. } | System::L2l => None,
     }
-}
-
-/// Whether `stage` can train `cfg` on `world` GPUs of `node` at any
-/// micro-batch ≥ 1.
-pub fn fits(stage: ZeroStage, cfg: &TransformerConfig, world: u32, node: &NodeSpec) -> bool {
-    let usable = (node.gpu.mem_bytes as f64 * zo_mem::USABLE_GPU_FRACTION) as u64;
-    gpu_bytes(stage, cfg, world, 1) <= usable
-}
-
-/// Largest trainable model for `stage` on `world` GPUs.
-pub fn max_trainable_params(stage: ZeroStage, world: u32, node: &NodeSpec) -> u64 {
-    zo_mem::max_trainable_params(|cfg| fits(stage, cfg, world, node))
 }
 
 /// One row of the stage-comparison table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageRow {
-    /// The stage.
-    pub stage: ZeroStage,
+    /// The placement: a ZeRO stage, or ZeRO-Offload.
+    pub system: System,
     /// Model-state bytes per GPU for an M-parameter model, as a formula
     /// evaluated at `world` (in multiples of M).
     pub state_per_gpu_m: f64,
@@ -109,17 +45,28 @@ pub struct StageRow {
     pub max_b: f64,
 }
 
-/// Builds the comparison table for `world` GPUs of `node`.
+impl StageRow {
+    /// `system`'s row on `world` GPUs of `node`.
+    ///
+    /// # Panics
+    /// If `system` is not a data-parallel placement (see
+    /// [`comm_volume_m`]).
+    pub fn new(system: System, world: u32, node: &NodeSpec) -> StageRow {
+        let m = 1_000_000;
+        StageRow {
+            system,
+            state_per_gpu_m: state_bytes_per_gpu(system, m, world) as f64 / m as f64,
+            comm_m: comm_volume_m(system).expect("a data-parallel placement"),
+            max_b: max_trainable_params(system, world, node) as f64 / 1e9,
+        }
+    }
+}
+
+/// Builds the comparison table of the three ZeRO stages on `world` GPUs
+/// of `node`.
 pub fn stage_table(world: u32, node: &NodeSpec) -> Vec<StageRow> {
-    [ZeroStage::Stage1, ZeroStage::Stage2, ZeroStage::Stage3]
-        .into_iter()
-        .map(|stage| StageRow {
-            stage,
-            state_per_gpu_m: state_bytes_per_gpu(stage, 1_000_000, world as u64) as f64
-                / 1_000_000.0,
-            comm_m: comm_volume_m(stage),
-            max_b: max_trainable_params(stage, world, node) as f64 / 1e9,
-        })
+    (1..=3)
+        .map(|stage| StageRow::new(System::Zero { stage }, world, node))
         .collect()
 }
 
@@ -128,36 +75,39 @@ mod tests {
     use super::*;
     use zo_hetsim::presets;
 
+    const STAGES: [System; 3] = [
+        System::Zero { stage: 1 },
+        System::Zero { stage: 2 },
+        System::Zero { stage: 3 },
+    ];
+
     #[test]
     fn state_formulas_match_paper_sec2() {
         let m = 1_000_000u64;
         // At world=1 every stage holds the full 16M (+4M temp).
-        for stage in [ZeroStage::Stage1, ZeroStage::Stage2, ZeroStage::Stage3] {
+        for stage in STAGES {
             assert_eq!(state_bytes_per_gpu(stage, m, 1), 20 * m, "{}", stage.name());
         }
         // At large world: stage1 → 4M, stage2 → 2M, stage3 → ~0.
         let n = 1024;
-        assert!(state_bytes_per_gpu(ZeroStage::Stage1, m, n) >= 4 * m);
-        assert!(state_bytes_per_gpu(ZeroStage::Stage1, m, n) < 4 * m + m);
-        assert!(state_bytes_per_gpu(ZeroStage::Stage2, m, n) >= 2 * m);
-        assert!(state_bytes_per_gpu(ZeroStage::Stage2, m, n) < 2 * m + m);
-        assert!(state_bytes_per_gpu(ZeroStage::Stage3, m, n) < m);
+        let [s1, s2, s3] = STAGES.map(|stage| state_bytes_per_gpu(stage, m, n));
+        assert!(s1 >= 4 * m);
+        assert!(s1 < 4 * m + m);
+        assert!(s2 >= 2 * m);
+        assert!(s2 < 2 * m + m);
+        assert!(s3 < m);
     }
 
     #[test]
     fn stage_ordering_on_memory_and_comm() {
         let m = 7_777_777u64;
-        for world in [2u64, 8, 64] {
-            let s1 = state_bytes_per_gpu(ZeroStage::Stage1, m, world);
-            let s2 = state_bytes_per_gpu(ZeroStage::Stage2, m, world);
-            let s3 = state_bytes_per_gpu(ZeroStage::Stage3, m, world);
+        for world in [2u32, 8, 64] {
+            let [s1, s2, s3] = STAGES.map(|stage| state_bytes_per_gpu(stage, m, world));
             assert!(s1 > s2 && s2 > s3, "world={world}");
         }
-        assert_eq!(
-            comm_volume_m(ZeroStage::Stage2),
-            comm_volume_m(ZeroStage::Stage1)
-        );
-        assert!(comm_volume_m(ZeroStage::Stage3) > comm_volume_m(ZeroStage::Stage2));
+        let [c1, c2, c3] = STAGES.map(comm_volume_m);
+        assert_eq!(c2, c1);
+        assert!(c3 > c2);
     }
 
     #[test]
@@ -176,29 +126,13 @@ mod tests {
     }
 
     #[test]
-    fn stage2_matches_fig7_model() {
-        // The dedicated System::Zero2 memory model and the stage table must
-        // agree (same formula, two call sites).
-        let node = presets::dgx2();
-        let via_system =
-            crate::memory::max_trainable_params(crate::memory::System::Zero2, 16, &node);
-        let via_stage = max_trainable_params(ZeroStage::Stage2, 16, &node);
-        let rel = (via_system as f64 - via_stage as f64).abs() / via_stage as f64;
-        assert!(rel < 0.05, "{via_system} vs {via_stage}");
-    }
-
-    #[test]
     fn offload_beats_every_pure_stage_below_32_gpus() {
         // The design argument: at modest GPU counts, offloading to host
         // memory dominates any pure GPU-partitioning stage.
         let node = presets::dgx2();
         for world in [1u32, 4, 16] {
-            let zo = crate::memory::max_trainable_params(
-                crate::memory::System::ZeroOffload { mp: 1 },
-                world,
-                &node,
-            );
-            for stage in [ZeroStage::Stage1, ZeroStage::Stage2, ZeroStage::Stage3] {
+            let zo = max_trainable_params(System::zero_offload(1), world, &node);
+            for stage in STAGES {
                 let pure = max_trainable_params(stage, world, &node);
                 assert!(
                     zo > pure,

@@ -142,15 +142,15 @@ mod tests {
     #[test]
     fn optimized_adam_is_faster_than_naive() {
         // The Sec. 5.1 claim, at reduced scale. The paper reports >5x on
-        // a 2-socket Xeon. In debug builds the op-by-op kernel pays for
-        // its temporaries and f64 promotion on any host and the fused
-        // kernel wins outright. In release builds LLVM autovectorizes
-        // the naive passes too, and on a DRAM-bound shared vCPU both
-        // kernels run at memory speed — the ratio is calibrated by the
-        // `table4` binary on a quiet machine, so here we only require
-        // the fused kernel not to lose beyond measurement noise.
+        // a 2-socket Xeon. Unoptimised (opt-level 0), the op-by-op kernel
+        // pays for its temporaries and f64 promotion on any host and the
+        // fused kernel wins outright. Optimised, LLVM autovectorizes the
+        // naive passes too, and on a DRAM-bound shared vCPU both kernels
+        // run at memory speed — the ratio is calibrated by the `table4`
+        // binary on a quiet machine, so here we only require the fused
+        // kernel not to lose beyond measurement noise.
         let rates = measure_adam_rates(1 << 20, 3);
-        let floor = if cfg!(debug_assertions) { 1.5 } else { 0.33 };
+        let floor = if cfg!(unoptimized) { 1.5 } else { 0.33 };
         assert!(
             rates.speedup() > floor,
             "CPU-Adam only {:.2}x over naive (floor {floor}x)",

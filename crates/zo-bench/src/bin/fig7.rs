@@ -11,11 +11,8 @@ fn main() {
         gpu: zo_hetsim::presets::a100_80g(),
         ..zo_hetsim::presets::dgx2()
     };
-    let zo = zo_baselines::max_trainable_params(
-        zo_baselines::System::ZeroOffload { mp: 1 },
-        1,
-        &a100_node,
-    );
+    let zo =
+        zo_baselines::max_trainable_params(zo_baselines::System::zero_offload(1), 1, &a100_node);
     let pt = zo_baselines::max_trainable_params(zo_baselines::System::PyTorchDdp, 1, &a100_node);
     println!(
         "\nwhat-if, single A100-80GB: PyTorch {:.1}B vs ZeRO-Offload {:.1}B ({:.1}x)",

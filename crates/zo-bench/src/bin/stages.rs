@@ -4,8 +4,15 @@
 //! bytes, communication volume, and the largest trainable model per stage,
 //! versus ZeRO-Offload itself.
 
-use zo_baselines::{stage_table, System};
+use zo_baselines::{stage_table, StageRow, System};
 use zo_hetsim::presets;
+
+fn print_row(label: &str, row: &StageRow, note: &str) {
+    println!(
+        "{:<10} {:>17.2}M {:>12} {:>14.1}{note}",
+        label, row.state_per_gpu_m, row.comm_m, row.max_b
+    );
+}
 
 fn main() {
     let node = presets::dgx2();
@@ -16,22 +23,10 @@ fn main() {
             "stage", "state bytes/GPU", "comm (xM)", "max model (B)"
         );
         for row in stage_table(world, &node) {
-            println!(
-                "{:<10} {:>17.2}M {:>12} {:>14.1}",
-                row.stage.name(),
-                row.state_per_gpu_m,
-                row.comm_m,
-                row.max_b
-            );
+            print_row(&row.system.name(), &row, "");
         }
-        let zo = zo_baselines::max_trainable_params(System::ZeroOffload { mp: 1 }, world, &node);
-        println!(
-            "{:<10} {:>17}M {:>12} {:>14.1}   <- stage 2 + host offload",
-            "ZO",
-            "2.00",
-            4,
-            zo as f64 / 1e9
-        );
+        let zo = StageRow::new(System::zero_offload(1), world, &node);
+        print_row("ZO", &zo, "   <- stage 2 + host offload");
         println!();
     }
     println!("Stage 2 is the most aggressive partitioning that keeps the data-parallel");

@@ -23,9 +23,9 @@ fn paper_value(system: &System, gpus: u32) -> f64 {
         (System::Megatron { .. }, 1) => 1.4,
         (System::Megatron { .. }, 4) => 6.0,
         (System::Megatron { .. }, _) => 15.0,
-        (System::Zero2, 1) => 1.4,
-        (System::Zero2, 4) => 4.0,
-        (System::Zero2, _) => 9.0,
+        (System::Zero { .. }, 1) => 1.4,
+        (System::Zero { .. }, 4) => 4.0,
+        (System::Zero { .. }, _) => 9.0,
         (System::L2l, _) => 17.0,
         (System::ZeroOffload { .. }, 1) => 13.0,
         (System::ZeroOffload { .. }, 4) => 30.0,
@@ -39,9 +39,9 @@ pub fn fig7_rows() -> Vec<ScaleRow> {
     let systems = [
         System::PyTorchDdp,
         System::Megatron { mp: 1 },
-        System::Zero2,
+        System::Zero { stage: 2 },
         System::L2l,
-        System::ZeroOffload { mp: 1 },
+        System::zero_offload(1),
     ];
     let mut rows = Vec::new();
     for gpus in [1u32, 4, 16] {

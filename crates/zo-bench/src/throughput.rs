@@ -29,7 +29,7 @@ pub fn fig8_rows() -> Vec<Fig8Row> {
             let c: EvalConfig = by_label(label).expect("table 3 row");
             let zo = perf
                 .iter_stats(
-                    System::ZeroOffload { mp: 1 },
+                    System::zero_offload(1),
                     &c.model,
                     c.batch_per_gpu,
                     TOTAL_BATCH,
@@ -125,7 +125,7 @@ pub fn fig10_rows() -> Vec<Fig10Row> {
                 [2u32, 4, 8, 16]
                     .into_iter()
                     .filter(|&mp| mp >= c.mp_degree)
-                    .filter_map(|mp| tuned_stats(&perf, System::ZeroOffload { mp }, &c, world))
+                    .filter_map(|mp| tuned_stats(&perf, System::zero_offload(mp), &c, world))
                     .fold(None, |acc: Option<f64>, v| {
                         Some(acc.map_or(v, |a| a.max(v)))
                     })
@@ -135,9 +135,9 @@ pub fn fig10_rows() -> Vec<Fig10Row> {
             Fig10Row {
                 params_b: c.label_b,
                 pytorch: tuned_stats(&perf, System::PyTorchDdp, &c, world),
-                zero2: tuned_stats(&perf, System::Zero2, &c, world),
+                zero2: tuned_stats(&perf, System::Zero { stage: 2 }, &c, world),
                 megatron,
-                zero_offload: tuned_stats(&perf, System::ZeroOffload { mp: 1 }, &c, world),
+                zero_offload: tuned_stats(&perf, System::zero_offload(1), &c, world),
                 zero_offload_mp: zo_mp,
             }
         })
@@ -162,6 +162,7 @@ pub fn fig11_rows() -> Vec<Fig11Row> {
     let perf = BaselinePerf::new(cluster());
     let node = presets::dgx2();
     let c = by_label(10.0).expect("10B row");
+    let zero2 = System::Zero { stage: 2 };
     [1u32, 2, 4, 8, 16, 32, 64, 128]
         .iter()
         .map(|&gpus| {
@@ -170,17 +171,15 @@ pub fn fig11_rows() -> Vec<Fig11Row> {
             let total_batch = (c.batch_per_gpu * gpus).max(TOTAL_BATCH);
             let zo = perf
                 .iter_stats(
-                    System::ZeroOffload { mp: 1 },
+                    System::zero_offload(1),
                     &c.model,
                     c.batch_per_gpu,
                     total_batch,
                     gpus,
                 )
                 .expect("zero-offload runs everywhere");
-            let z2 = zo_baselines::largest_micro_batch(System::Zero2, &c.model, gpus, &node, 32)
-                .and_then(|mb| {
-                    perf.iter_stats(System::Zero2, &c.model, mb as u32, total_batch, gpus)
-                })
+            let z2 = zo_baselines::largest_micro_batch(zero2, &c.model, gpus, &node, 32)
+                .and_then(|mb| perf.iter_stats(zero2, &c.model, mb as u32, total_batch, gpus))
                 .map(|s| s.tflops_per_gpu);
             Fig11Row {
                 gpus,

@@ -258,11 +258,6 @@ impl CpuAdam {
         self.state.step
     }
 
-    /// Overrides the step counter (used when restoring from a checkpoint).
-    pub fn set_step_count(&mut self, step: u64) {
-        self.state.step = step;
-    }
-
     /// Replaces the optimizer state (checkpoint restore).
     ///
     /// Returns [`OptimError::StateMismatch`] if the state covers a

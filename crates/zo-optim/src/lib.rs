@@ -16,7 +16,6 @@ mod dpu;
 mod error;
 mod loss_scale;
 mod naive;
-mod schedule;
 mod sgd;
 
 pub use adam::{adam_element, adam_reference_step, AdamParams, AdamState};
@@ -25,5 +24,4 @@ pub use dpu::{DelayedUpdate, DpuAction};
 pub use error::OptimError;
 pub use loss_scale::{DynamicLossScaler, LossScaleConfig};
 pub use naive::NaiveAdam;
-pub use schedule::LrSchedule;
 pub use sgd::{Sgd, SgdParams};

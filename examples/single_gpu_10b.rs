@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release -p zo-bench --example single_gpu_10b`
 
-use zero_offload::{memory, ZeroOffloadPerf};
-use zo_baselines::System;
+use zero_offload::ZeroOffloadPerf;
+use zo_baselines::{memory, System};
 use zo_hetsim::{presets, MemoryPool, GIB};
 use zo_models::by_label;
 
@@ -16,6 +16,7 @@ fn gib(b: u64) -> f64 {
 
 fn main() {
     let node = presets::single_v100_node();
+    let zo = System::zero_offload(1);
     let cfg = by_label(10.0).expect("10B Table 3 row");
     let m = cfg.model.total_params();
     println!(
@@ -39,7 +40,7 @@ fn main() {
     println!("\n-- ZeRO-Offload residency --");
     hbm.alloc(states.p16, "fp16 parameters (2M)")
         .expect("2M fits");
-    let act = memory::activation_bytes_mp(&cfg.model, cfg.batch_per_gpu as u64, 1);
+    let act = memory::activation_bytes(zo, &cfg.model, cfg.batch_per_gpu as u64);
     hbm.alloc(act, "activations (checkpointed)")
         .expect("activations fit");
     hbm.alloc(memory::GRAD_BUCKET_BYTES, "gradient staging bucket")
@@ -54,7 +55,7 @@ fn main() {
     );
     println!(
         "  host side: {:.0} GiB of gradients + optimizer states (of {:.0} GiB DRAM)",
-        gib(memory::cpu_bytes(&cfg.model, 1)),
+        gib(memory::cpu_bytes(zo, &cfg.model, 1)),
         gib(node.cpu.mem_bytes)
     );
 
@@ -77,9 +78,7 @@ fn main() {
     );
 
     // And the largest model this single GPU can take.
-    let max = memory::max_trainable_params(|cfg| {
-        memory::fits(cfg, 1, 1, node.gpu.mem_bytes, node.cpu.mem_bytes)
-    });
+    let max = memory::max_trainable_params(zo, 1, &node);
     println!(
         "\nlargest trainable with ZeRO-Offload on this GPU: {:.1}B (paper: 13B)",
         max as f64 / 1e9

@@ -205,33 +205,43 @@ leg_results_fresh() {
 # API or behaviour change that stops it building, or trips one of its
 # correctness checks (NVMe trajectory == DRAM trajectory, zero failed
 # steps, ...), would first be seen by the perf pipeline. This leg runs
-# what that pipeline runs: the build and every workload once (--quick),
+# what that pipeline runs: the build, every workload once (--quick),
 # bench/'s self-tests (they build a `ServiceReport` by literal, so a new
-# public field fails here), and `serve-mixed` at full length untraced and
-# traced — five checkpoints including two-rank sets, and the service
-# trace parsed track by track, which --quick's single one-rank checkpoint
-# does not reach. It gates on exit status and on the `"correct":true` of
-# each run's last stdout line, never on a speed number.
+# public field fails here), and then every workload at full length,
+# untraced and traced, as the pipeline runs each. It gates on exit status
+# and on the `"correct":true` of each run's last stdout line, never on a
+# speed number. A failing run's stdout and stderr stay under `bench/out/`
+# (ignored), so the failure can be read after the fact.
 #
 # `bench/run.sh` builds without `--locked`, so a manifest change anywhere
 # in bench/'s dependency closure would silently rewrite the committed
 # `bench/Cargo.lock`. The `--locked` build comes first and fails on such a
 # change instead; the closing `git diff` fails if anything this leg ran
-# left a tracked file under `bench/` (or BENCHMARK.json) modified.
+# left a tracked file under `bench/` (or BENCHMARK.json) modified, so the
+# binary run here is built from the same `bench/` as the pipeline's.
 leg_bench_smoke() {
     cargo build --release --offline --locked --manifest-path bench/Cargo.toml
     bench/run.sh --quick
     cargo test --release --offline --manifest-path bench/Cargo.toml
-    local bin="${CARGO_TARGET_DIR:-bench/target}/release/bench" trace out
-    for trace in 0 1; do
-        echo "   serve-mixed --seconds 15 --trace $trace"
-        if ! out=$("$bin" --workload serve-mixed --seed 1 --seconds 15 --trace "$trace") ||
-            [[ $(tail -n 1 <<<"$out") != *'"correct":true'* ]]; then
-            echo "$out"
-            echo "FAIL: serve-mixed --trace $trace did not end in \"correct\":true" >&2
-            return 1
-        fi
+    local bin="${CARGO_TARGET_DIR:-bench/target}/release/bench" workload trace log failed=0
+    mkdir -p bench/out
+    for workload in dense-compute wide-optim wide-nvme serve-mixed; do
+        for trace in 0 1; do
+            echo "   $workload --seconds 15 --trace $trace"
+            log="bench/out/smoke-$workload-trace$trace"
+            if "$bin" --workload "$workload" --seed 1 --seconds 15 --trace "$trace" \
+                >"$log.stdout" 2>"$log.stderr" &&
+                [[ $(tail -n 1 "$log.stdout") == *'"correct":true'* ]]; then
+                rm -f "$log.stdout" "$log.stderr"
+            else
+                echo "FAIL: $workload --trace $trace did not end in \"correct\":true;" \
+                    "its output is in $log.stdout and $log.stderr" >&2
+                tail -n 20 "$log.stderr" >&2
+                failed=1
+            fi
+        done
     done
+    [ "$failed" = 0 ]
     git diff --exit-code -- bench BENCHMARK.json
 }
 
@@ -247,7 +257,7 @@ run_leg "memory-tier harness (both fault presets)" leg_tier_harness
 run_leg "multi-job service harness (both fault presets)" leg_multi_job_harness
 run_leg "trajectory fingerprint matrix (faults x threads x tier, stages 1, 2 and 3)" leg_fingerprint_matrix
 run_leg "committed results/ match their bins" leg_results_fresh
-run_leg "benchmark smoke run (--quick, bench self-tests, full-length serve-mixed untraced and traced)" leg_bench_smoke
+run_leg "benchmark smoke run (--quick, bench self-tests, every workload full-length untraced and traced)" leg_bench_smoke
 
 echo
 echo "== leg wall times"

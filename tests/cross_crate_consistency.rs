@@ -3,6 +3,7 @@
 //! agree on the quantities they share.
 
 use zero_offload::{ZeroOffloadConfig, ZeroOffloadEngine, ZeroOffloadPerf};
+use zo_baselines::{memory, System};
 use zo_dataflow::{Assignment, DataFlowGraph};
 use zo_hetsim::presets;
 use zo_models::BigramLm;
@@ -67,10 +68,10 @@ fn memory_model_matches_dataflow_reduction() {
 
     let cfg = zo_models::by_label(4.0).unwrap().model;
     let m = cfg.total_params();
-    let gpu = zero_offload::memory::gpu_bytes(&cfg, 1, 1);
-    let states_on_gpu = gpu
-        - zero_offload::memory::GRAD_BUCKET_BYTES
-        - zero_offload::memory::activation_bytes_mp(&cfg, 1, 1);
+    let system = System::zero_offload(1);
+    let states_on_gpu = memory::gpu_bytes(system, &cfg, 1, 1)
+        - memory::GRAD_BUCKET_BYTES
+        - memory::activation_bytes(system, &cfg, 1);
     // `gpu_memory_m` is in multiples of M bytes: 2M = 2 bytes/param.
     assert_eq!(states_on_gpu, u64::from(zo.gpu_memory_m()) * m);
 
@@ -147,18 +148,15 @@ fn allocation_plan_13b_on_v100() {
     assert!(hbm.alloc(16 * m, "16M").is_err());
     // ...the ZeRO-Offload plan fits.
     hbm.alloc(2 * m, "p16").unwrap();
+    let system = System::zero_offload(1);
     hbm.alloc(
-        zero_offload::memory::activation_bytes_mp(&cfg.model, cfg.batch_per_gpu as u64, 1),
+        memory::activation_bytes(system, &cfg.model, cfg.batch_per_gpu as u64),
         "acts",
     )
     .unwrap();
-    hbm.alloc(zero_offload::memory::GRAD_BUCKET_BYTES, "bucket")
-        .unwrap();
+    hbm.alloc(memory::GRAD_BUCKET_BYTES, "bucket").unwrap();
     // Host side holds the rest.
     let mut dram = zo_hetsim::MemoryPool::new("dram", node.cpu.mem_bytes);
-    dram.alloc(
-        zero_offload::memory::cpu_bytes(&cfg.model, 1),
-        "offloaded states",
-    )
-    .unwrap();
+    dram.alloc(memory::cpu_bytes(system, &cfg.model, 1), "offloaded states")
+        .unwrap();
 }

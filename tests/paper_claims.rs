@@ -11,7 +11,7 @@ use zo_hetsim::presets;
 #[test]
 fn claim_13b_on_a_single_gpu_10x_over_pytorch() {
     let node = presets::single_v100_node();
-    let zo = zo_baselines::max_trainable_params(System::ZeroOffload { mp: 1 }, 1, &node);
+    let zo = zo_baselines::max_trainable_params(System::zero_offload(1), 1, &node);
     let pt = zo_baselines::max_trainable_params(System::PyTorchDdp, 1, &node);
     assert!(zo >= 13_000_000_000, "only {:.1}B", zo as f64 / 1e9);
     assert!(
@@ -31,7 +31,7 @@ fn claim_comparable_efficiency_at_9x_the_model_size() {
     let ten_b = zo_models::by_label(10.0).unwrap();
     let zo = perf
         .iter_stats(
-            System::ZeroOffload { mp: 1 },
+            System::zero_offload(1),
             &ten_b.model,
             ten_b.batch_per_gpu,
             512,
@@ -83,7 +83,7 @@ fn claim_near_linear_scaling_to_128() {
 #[test]
 fn claim_70b_on_dgx2_4x_over_megatron() {
     let node = presets::dgx2();
-    let zo = zo_baselines::max_trainable_params(System::ZeroOffload { mp: 1 }, 16, &node);
+    let zo = zo_baselines::max_trainable_params(System::zero_offload(1), 16, &node);
     let mega = zo_baselines::max_trainable_params(System::Megatron { mp: 16 }, 16, &node);
     assert!(zo >= 70_000_000_000, "only {:.1}B", zo as f64 / 1e9);
     assert!(
@@ -95,15 +95,16 @@ fn claim_70b_on_dgx2_4x_over_megatron() {
 
 /// "An efficient CPU Adam optimizer... up to 6x faster than the
 /// state-of-art" — the ratio measured with the real kernels on this host.
-/// In release builds LLVM autovectorizes the op-by-op kernel too and a
+/// Optimised, LLVM autovectorizes the op-by-op kernel too and a
 /// DRAM-bound shared vCPU runs both at memory speed, so the strong ratio
-/// is asserted in debug (where the op-by-op temporaries always cost) and
-/// only a measurement-noise floor in release; the `table4` binary
+/// is asserted only at opt-level 0 (`cfg(unoptimized)`, set by zo-bench's
+/// build script; the op-by-op temporaries always cost there) and a
+/// measurement-noise floor at any other level; the `table4` binary
 /// calibrates the real ratio on a quiet machine.
 #[test]
 fn claim_cpu_adam_speedup_over_pt_cpu() {
     let rates = zo_bench::measure_adam_rates(1 << 20, 3);
-    let floor = if cfg!(debug_assertions) { 1.5 } else { 0.33 };
+    let floor = if cfg!(unoptimized) { 1.5 } else { 0.33 };
     assert!(
         rates.speedup() > floor,
         "fused CPU-Adam only {:.1}x over op-by-op (floor {floor}x)",
