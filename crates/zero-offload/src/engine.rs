@@ -130,7 +130,9 @@ pub(crate) struct Placement {
     /// world 1, where gradients are copied straight into the optimizer
     /// input.
     full_grads: Vec<f32>,
-    /// fp32 widening of the owned fp16 parameters, reused.
+    /// fp32 widening of the owned fp16 parameters for the collectives and
+    /// the ZeRO-3 schedule, which move f32; empty for the one-rank replica,
+    /// whose model widens the fp16 parameters itself.
     widened: Vec<f32>,
     /// ZeRO-3's gather/release schedule; `None` keeps a full replica.
     residency: Option<Residency>,
@@ -247,9 +249,10 @@ impl Placement {
     }
 
     /// Closes the bucketer, validates each staged frame and widens·unscales
-    /// it straight into its span of `grads`, and updates traffic counters
-    /// and memory high-water marks — the tail of the gradient offload
-    /// shared by the streamed and post-hoc transfers.
+    /// it straight into its span of `grads` (split over the shared pool,
+    /// once the frame's checksum has verified), and updates traffic
+    /// counters and memory high-water marks — the tail of the gradient
+    /// offload shared by the streamed and post-hoc transfers.
     fn finish_offload(
         &self,
         bucketer: &mut GradBucketer,
@@ -308,8 +311,8 @@ impl Placement {
         tracer: &Tracer,
         faults: &mut FaultSession,
     ) -> Result<(), FaultError> {
-        widen(p16, &mut self.widened);
         if self.residency.is_some() {
+            widen(p16, &mut self.widened);
             model.load_param_range(self.own.clone(), &self.widened);
         } else {
             let _copy = tracer.span(
@@ -322,8 +325,9 @@ impl Placement {
                 // update and copy-back" crash point the recovery tests
                 // exercise.
                 with_retry(faults, Site::WireH2d, tracer, self.track("pcie"), || ())?;
-                model.load_params_from(&self.widened);
+                model.load_params_f16(p16);
             } else {
+                widen(p16, &mut self.widened);
                 let full = self.comm.try_all_gather(&self.widened, self.total)?;
                 model.load_params_from(&full);
             }
@@ -372,10 +376,12 @@ impl Placement {
             // The all-gather never draws the step's own session.
             return self.publish(model, p16, stats, tracer, faults);
         }
-        widen(p16, &mut self.widened);
         match &mut self.residency {
-            Some(residency) => residency.reset(model, &self.widened),
-            None => model.load_params_from(&self.widened),
+            Some(residency) => {
+                widen(p16, &mut self.widened);
+                residency.reset(model, &self.widened);
+            }
+            None => model.load_params_f16(p16),
         }
         Ok(())
     }

@@ -482,6 +482,7 @@ impl StepPipeline {
         F: FnOnce(&mut M, &mut GradStream) -> Result<f32, E>,
     {
         if self.micro_in_window == 0 {
+            let _zero = self.tracer.span(placement.track("gpu"), "zero_grads");
             model.zero_grads();
         }
         // Stage-3 placements gather the layers this micro-batch needs

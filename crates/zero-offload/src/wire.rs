@@ -14,10 +14,17 @@
 //! on arrival, and [`GradFrame::widen_into`] widens and unscales it
 //! straight into the host gradient buffer. The two conversions work on
 //! 1024-element stack blocks, so their intermediate passes stay in L1 and
-//! nothing is allocated per call.
+//! nothing is allocated per block. They are also the two passes that do
+//! arithmetic per element, so both split a long slice into contiguous
+//! parts on the shared worker pool ([`quantize_into_on`],
+//! [`GradFrame::widen_into_on`]; [`zo_tensor::pool::MIN_PARALLEL_ELEMS`]
+//! decides when): every element's bytes are the same whichever part
+//! converts it, and the overflow flag is the OR over parts. The two
+//! checksums stay serial passes, and a frame is verified in full before
+//! any of its values is widened.
 
 use bytes::Bytes;
-use zo_tensor::F16;
+use zo_tensor::{pool, Pool, F16};
 
 use crate::framing::checksum;
 
@@ -117,17 +124,37 @@ impl GradFrame {
     ///
     /// Panics if `dst.len() != self.len()`.
     pub fn widen_into(&self, dst: &mut [f32], unscale: Option<f32>) {
+        let parts = pool::elementwise_parts(self.len());
+        self.widen_into_on(pool::global(), parts, dst, unscale);
+    }
+
+    /// [`GradFrame::widen_into`] split into `parts` contiguous ranges on
+    /// `pool` (bit-identical for every `parts`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst.len() != self.len()`.
+    pub fn widen_into_on(&self, pool: &Pool, parts: usize, dst: &mut [f32], unscale: Option<f32>) {
         assert_eq!(dst.len(), self.len(), "widen length mismatch");
-        let mut half = [F16::ZERO; BLOCK];
-        for (bytes, out) in self.payload.chunks(2 * BLOCK).zip(dst.chunks_mut(BLOCK)) {
-            let half = &mut half[..out.len()];
-            for (h, v) in half.iter_mut().zip(f16_le(bytes)) {
-                *h = v;
-            }
-            F16::to_f32_slice(half, out);
-            if let Some(alpha) = unscale {
-                zo_tensor::ops::scale(out, alpha);
-            }
+        let payload = &self.payload[..];
+        pool::run_partitioned(pool, parts, dst.len(), 1, dst, |range, out| {
+            widen_bytes(&payload[2 * range.start..2 * range.end], out, unscale)
+        });
+    }
+}
+
+/// The serial widen·unscale of a little-endian fp16 payload into `dst`
+/// (`payload.len() == 2 * dst.len()`), one stack block at a time.
+fn widen_bytes(payload: &[u8], dst: &mut [f32], unscale: Option<f32>) {
+    let mut half = [F16::ZERO; BLOCK];
+    for (bytes, out) in payload.chunks(2 * BLOCK).zip(dst.chunks_mut(BLOCK)) {
+        let half = &mut half[..out.len()];
+        for (h, v) in half.iter_mut().zip(f16_le(bytes)) {
+            *h = v;
+        }
+        F16::to_f32_slice(half, out);
+        if let Some(alpha) = unscale {
+            zo_tensor::ops::scale(out, alpha);
         }
     }
 }
@@ -147,7 +174,13 @@ pub(crate) fn seal_frame(frame: &mut [u8], seq: u32, offset: u64) {
 pub(crate) fn extend_f16_le(out: &mut Vec<u8>, values: &[F16]) {
     let at = out.len();
     out.resize(at + 2 * values.len(), 0);
-    for (dst, v) in out[at..].chunks_exact_mut(2).zip(values) {
+    write_f16_le(&mut out[at..], values);
+}
+
+/// Writes `values` into `out` (`2 * values.len()` bytes) as little-endian
+/// fp16.
+fn write_f16_le(out: &mut [u8], values: &[F16]) {
+    for (dst, v) in out.chunks_exact_mut(2).zip(values) {
         dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
 }
@@ -221,21 +254,56 @@ fn quantize_block(grads: &[f32], denom: f32, scale: f32, wire: &mut [F16]) -> bo
 /// The scale loop is element-independent and the slice codec
 /// ([`F16::from_f32_slice`]) is bit-identical to the scalar
 /// [`F16::from_f32`], so the bytes equal a per-element quantize loop's.
+/// A slice of at least [`pool::MIN_PARALLEL_ELEMS`] elements is split over
+/// the shared pool ([`quantize_into_on`]).
 pub fn quantize_into(grads: &[f32], denom: f32, scale: f32, out: &mut Vec<u8>) -> bool {
+    let parts = pool::elementwise_parts(grads.len());
+    quantize_into_on(pool::global(), parts, grads, denom, scale, out)
+}
+
+/// [`quantize_into`] split into `parts` contiguous ranges on `pool`: the
+/// payload is sized for the whole slice first, each part quantizes into
+/// its own byte range, and the overflow flags are OR-ed (bit-identical
+/// for every `parts`).
+pub fn quantize_into_on(
+    pool: &Pool,
+    parts: usize,
+    grads: &[f32],
+    denom: f32,
+    scale: f32,
+    out: &mut Vec<u8>,
+) -> bool {
+    let at = out.len();
+    out.resize(at + 2 * grads.len(), 0);
+    pool::run_partitioned(
+        pool,
+        parts,
+        grads.len(),
+        2,
+        &mut out[at..],
+        |range, bytes| quantize_bytes(&grads[range], denom, scale, bytes),
+    )
+    .contains(&true)
+}
+
+/// The serial quantize of `grads` into `payload` (`2 * grads.len()`
+/// bytes of little-endian fp16), one stack block at a time; returns the
+/// overflow flag.
+fn quantize_bytes(grads: &[f32], denom: f32, scale: f32, payload: &mut [u8]) -> bool {
     let mut half = [F16::ZERO; BLOCK];
     let mut overflow = false;
-    for block in grads.chunks(BLOCK) {
+    for (block, bytes) in grads.chunks(BLOCK).zip(payload.chunks_mut(2 * BLOCK)) {
         let half = &mut half[..block.len()];
         overflow |= quantize_block(block, denom, scale, half);
-        extend_f16_le(out, half);
+        write_f16_le(bytes, half);
     }
     overflow
 }
 
 /// [`quantize_into`] with fp16 values instead of bytes as the output:
-/// `wire` is resized to `grads.len()` and filled by the same block kernel.
-/// `_scratch` is unused; the parameter keeps the signature the benchmark
-/// probes call.
+/// `wire` is resized to `grads.len()` and filled by the same block kernel,
+/// split over the shared pool the same way. `_scratch` is unused; the
+/// parameter keeps the signature the benchmark probes call.
 pub fn quantize_grads(
     grads: &[f32],
     denom: f32,
@@ -244,11 +312,24 @@ pub fn quantize_grads(
     wire: &mut Vec<F16>,
 ) -> bool {
     wire.resize(grads.len(), F16::ZERO);
-    let mut overflow = false;
-    for (block, half) in grads.chunks(BLOCK).zip(wire.chunks_mut(BLOCK)) {
-        overflow |= quantize_block(block, denom, scale, half);
-    }
-    overflow
+    let parts = pool::elementwise_parts(grads.len());
+    pool::run_partitioned(
+        pool::global(),
+        parts,
+        grads.len(),
+        1,
+        wire,
+        |range, wire| {
+            let grads = &grads[range];
+            grads
+                .chunks(BLOCK)
+                .zip(wire.chunks_mut(BLOCK))
+                .fold(false, |any, (block, half)| {
+                    any | quantize_block(block, denom, scale, half)
+                })
+        },
+    )
+    .contains(&true)
 }
 
 /// Decodes one frame and records receive-side counters on `track`:
@@ -341,6 +422,123 @@ mod tests {
             decode_frame(Bytes::from(raw)),
             Err(WireError::BadChecksum { .. })
         ));
+    }
+
+    /// Pools of 1–4 workers, spawned once for every partition test.
+    fn pools() -> &'static [std::sync::Arc<Pool>] {
+        static POOLS: std::sync::OnceLock<Vec<std::sync::Arc<Pool>>> = std::sync::OnceLock::new();
+        POOLS.get_or_init(|| (1..=4).map(Pool::new).collect())
+    }
+
+    /// Gradient lengths that are multiples of neither the 1024-element
+    /// block nor any part count (plus a few small edge lengths).
+    const LENGTHS: [usize; 6] = [0, 1, 7, 1021, 3 * 1024 + 5, 9 * 1024 + 11];
+
+    /// fp32 gradients with every special class: NaN (quiet, signaling,
+    /// negative), ±Inf, f32 subnormals, values that land in the fp16
+    /// subnormal range once scaled, signed zeros and ordinary values.
+    fn special_grads(n: usize) -> Vec<f32> {
+        let specials = [
+            f32::from_bits(0x7FC0_0000),
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFFA5_A5A5),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x0000_0001),
+            -1e-40,
+            3.0e-8,
+            -0.0,
+            0.0,
+        ];
+        (0..n)
+            .map(|i| match i % 97 {
+                k if k < specials.len() && i % 3 == 0 => specials[k],
+                _ => (i as f32 * 0.37).sin() * 1e-3,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn partitioned_quantize_matches_serial_bitwise() {
+        for pool in pools() {
+            for n in LENGTHS {
+                let grads = special_grads(n);
+                let expect: Vec<u8> = grads
+                    .iter()
+                    .flat_map(|&g| F16::from_f32(g / 4.0 * 1024.0).to_bits().to_le_bytes())
+                    .collect();
+                let mut serial = vec![0x5A; 3];
+                let serial_overflow = quantize_into_on(pool, 1, &grads, 4.0, 1024.0, &mut serial);
+                assert_eq!(serial[3..], expect[..]);
+                for parts in [pool.threads(), pool.threads() + 3] {
+                    let mut split = vec![0x5A; 3];
+                    let overflow = quantize_into_on(pool, parts, &grads, 4.0, 1024.0, &mut split);
+                    assert_eq!(
+                        split,
+                        serial,
+                        "{} threads, {parts} parts, n {n}",
+                        pool.threads()
+                    );
+                    assert_eq!(overflow, serial_overflow);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overflow_raised_only_in_the_last_part_is_reported() {
+        let n = 9 * 1024 + 11;
+        let mut grads: Vec<f32> = (0..n).map(|i| (i as f32 * 0.01).cos()).collect();
+        for pool in pools() {
+            for parts in 1..=pool.threads() + 1 {
+                let mut out = Vec::new();
+                assert!(!quantize_into_on(
+                    pool, parts, &grads, 1.0, 1024.0, &mut out
+                ));
+            }
+        }
+        // 70 000 × 1024 overflows fp16; only the final element does.
+        grads[n - 1] = 70_000.0;
+        for pool in pools() {
+            for parts in 1..=pool.threads() + 1 {
+                let mut out = Vec::new();
+                assert!(
+                    quantize_into_on(pool, parts, &grads, 1.0, 1024.0, &mut out),
+                    "{} threads, {parts} parts",
+                    pool.threads()
+                );
+                assert_eq!(&out[2 * (n - 1)..], &F16::INFINITY.to_bits().to_le_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn partitioned_widen_matches_serial_bitwise() {
+        for n in LENGTHS {
+            // Every fp16 class: signaling and quiet NaNs, ±Inf,
+            // subnormals, signed zeros and normals.
+            let values: Vec<F16> = (0..n)
+                .map(|i| F16::from_bits((i as u16).wrapping_mul(40_503)))
+                .collect();
+            let frame = decode_frame(encode_frame(3, 0, &values)).unwrap();
+            for unscale in [None, Some(1.0 / 1024.0)] {
+                let expect: Vec<u32> = values
+                    .iter()
+                    .map(|h| match unscale {
+                        Some(a) => (h.to_f32() * a).to_bits(),
+                        None => h.to_f32().to_bits(),
+                    })
+                    .collect();
+                for pool in pools() {
+                    for parts in [1, pool.threads(), pool.threads() + 3] {
+                        let mut dst = vec![0.0f32; n];
+                        frame.widen_into_on(pool, parts, &mut dst, unscale);
+                        let got: Vec<u32> = dst.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, expect, "{} threads, {parts} parts", pool.threads());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -182,7 +182,7 @@ pub fn gpu_bytes(system: System, cfg: &TransformerConfig, world: u32, micro_batc
         + activation_bytes(system, cfg, micro_batch)
 }
 
-/// Host bytes, aggregated over the node's ranks.
+/// Host bytes, aggregated over all `world` ranks.
 ///
 /// ZeRO-Offload keeps one partitioned copy however many data-parallel
 /// ranks share it, and model-parallel shards sum back to the whole model:
@@ -214,9 +214,26 @@ pub fn nvme_bytes(system: System, cfg: &TransformerConfig) -> u64 {
     }
 }
 
+/// The share of `total` bytes, partitioned evenly over `world` ranks,
+/// that one fully populated node of `node` holds when the ranks fill
+/// nodes of `node.gpus_per_node` GPUs each: ZeRO-Offload's host and NVMe
+/// states are per-rank shards, so a node holds only those of the ranks it
+/// hosts. Every other system's host footprint sits on one host (L2L has
+/// no multi-GPU mode; the rest keep nothing there).
+fn per_node(system: System, total: u64, world: u32, node: &NodeSpec) -> u64 {
+    match system {
+        System::ZeroOffload { .. } => {
+            let world = world.max(1) as u64;
+            total / world * world.min(node.gpus_per_node.max(1) as u64)
+        }
+        _ => total,
+    }
+}
+
 /// Whether `system` can train `cfg` on `world` GPUs of `node` at
-/// `micro_batch`: every tier's bytes within its usable capacity. A node
-/// without a flash tier has no NVMe capacity.
+/// `micro_batch`: every tier's bytes within its usable capacity — per
+/// node for the host and NVMe tiers, which hold only the shards of the
+/// node's own ranks. A node without a flash tier has no NVMe capacity.
 pub fn fits(
     system: System,
     cfg: &TransformerConfig,
@@ -226,9 +243,11 @@ pub fn fits(
 ) -> bool {
     let usable = |capacity: u64, fraction: f64| (capacity as f64 * fraction) as u64;
     let nvme_capacity = node.nvme.map_or(0, |d| d.capacity_bytes);
+    let cpu = per_node(system, cpu_bytes(system, cfg, world), world, node);
+    let nvme = per_node(system, nvme_bytes(system, cfg), world, node);
     gpu_bytes(system, cfg, world, micro_batch) <= usable(node.gpu.mem_bytes, USABLE_GPU_FRACTION)
-        && cpu_bytes(system, cfg, world) <= usable(node.cpu.mem_bytes, USABLE_CPU_FRACTION)
-        && nvme_bytes(system, cfg) <= usable(nvme_capacity, USABLE_NVME_FRACTION)
+        && cpu <= usable(node.cpu.mem_bytes, USABLE_CPU_FRACTION)
+        && nvme <= usable(nvme_capacity, USABLE_NVME_FRACTION)
 }
 
 /// Largest micro-batch (≤ `cap`) that fits, or `None` if even 1 does not.
@@ -264,7 +283,7 @@ pub fn config_for_params(target: u64) -> TransformerConfig {
 }
 
 /// Largest trainable parameter count for `system` on `world` GPUs of
-/// `node` (the Fig. 7 quantity), by bisection over the
+/// `node` (the Fig. 7 quantity), by bracketing and bisection over the
 /// [`config_for_params`] family at micro-batch 1 (any micro-batch ≥ 1
 /// counts as trainable, matching how model-scale experiments are run).
 /// For the MP-capable systems the best degree dividing `world` is chosen.
@@ -280,9 +299,15 @@ pub fn max_trainable_params(system: System, world: u32, node: &NodeSpec) -> u64 
         })
         .map(|sys| {
             let trains = |params| fits(sys, &config_for_params(params), world, 1, node);
+            // Bracket first: a placement that trains 200B (ZeRO-Offload
+            // over several nodes) doubles the bound until it no longer
+            // trains, up to 3.2T.
             let (mut lo, mut hi) = (0u64, 200_000_000_000u64);
-            if trains(hi) {
-                return hi;
+            while trains(hi) {
+                if hi >= 3_200_000_000_000 {
+                    return hi;
+                }
+                (lo, hi) = (hi, 2 * hi);
             }
             while hi - lo > 50_000_000 {
                 let mid = lo + (hi - lo) / 2;
@@ -496,6 +521,26 @@ mod tests {
         assert_eq!(
             cpu_bytes(spilled(true), &cfg, 4),
             6 * cfg.total_params() + 4 * 32 * 1024 * 1024
+        );
+    }
+
+    #[test]
+    fn each_node_holds_only_its_ranks_host_shards() {
+        // 64 GPUs are four 16-GPU DGX-2 nodes: each node's DRAM holds a
+        // quarter of ZeRO-Offload's 18 B/param host states, so the model
+        // it trains grows past the one-node maximum (which host DRAM
+        // bounds at 16 GPUs).
+        let node = node();
+        let at16 = max_trainable_params(ZO, 16, &node);
+        let at64 = max_trainable_params(ZO, 64, &node);
+        assert!(at64 > at16, "ZO max at 64 GPUs {at64} <= at 16 GPUs {at16}");
+        let cfg = config_for_params(2 * at16);
+        assert!(!fits(System::zero_offload(16), &cfg, 16, 1, &node));
+        assert!(fits(System::zero_offload(16), &cfg, 64, 1, &node));
+        // L2L has no multi-GPU mode: its host footprint stays on one host.
+        assert_eq!(
+            max_trainable_params(System::L2l, 64, &node),
+            max_trainable_params(System::L2l, 1, &node)
         );
     }
 

@@ -96,35 +96,25 @@ impl Embedding {
     /// pool with an explicit partition count over table rows
     /// (bit-identical for every `parts`; exposed for tests and benches).
     pub fn scatter_on(&mut self, pool: &pool::Pool, parts: usize, ids: &[usize], dy: &Tensor) {
-        let dim = self.dim();
-        let ranges = pool::partition(self.vocab(), parts);
-        if ranges.len() <= 1 {
-            for (r, &id) in ids.iter().enumerate() {
-                let dst = self.dtable.row_mut(id);
-                for (d, s) in dst.iter_mut().zip(dy.row(r)) {
-                    *d += *s;
-                }
-            }
-            return;
-        }
-        let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(ranges.len());
-        let mut rest = self.dtable.data_mut();
-        for rows in ranges {
-            let (head, tail) = rest.split_at_mut(rows.len() * dim);
-            tasks.push(Box::new(move || {
+        let (vocab, dim) = (self.vocab(), self.dim());
+        pool::run_partitioned(
+            pool,
+            parts,
+            vocab,
+            dim,
+            self.dtable.data_mut(),
+            |rows, part| {
                 for (r, &id) in ids.iter().enumerate() {
                     if rows.contains(&id) {
                         let local = (id - rows.start) * dim;
-                        let dst = &mut head[local..local + dim];
+                        let dst = &mut part[local..local + dim];
                         for (d, s) in dst.iter_mut().zip(dy.row(r)) {
                             *d += *s;
                         }
                     }
                 }
-            }));
-            rest = tail;
-        }
-        pool.run(tasks);
+            },
+        );
     }
 
     /// Zeroes accumulated gradients.

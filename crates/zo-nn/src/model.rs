@@ -7,7 +7,7 @@
 //! stream out layer by layer during backward, and updated parameters load
 //! back in.
 
-use zo_tensor::{Init, Tensor, TensorError};
+use zo_tensor::{cast_f16_to_f32_on, pool, Init, Pool, Tensor, TensorError, F16};
 
 use crate::block::{BlockCache, TransformerBlock};
 use crate::embedding::Embedding;
@@ -106,6 +106,34 @@ pub trait Model {
         });
     }
 
+    /// Loads all parameters from the fp16 values `flat` (canonical order),
+    /// widening each parameter tensor exactly, in place — the device
+    /// replica's copy-back without an fp32 staging copy of the whole
+    /// model. Tensors of at least [`pool::MIN_PARALLEL_ELEMS`] elements are
+    /// widened across the shared pool; the result equals
+    /// [`Model::load_params_from`] of the widened values bit for bit.
+    ///
+    /// Must not be called from inside a task of the shared pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat.len() != self.num_params()`.
+    fn load_params_f16(&mut self, flat: &[F16]) {
+        let pool = pool::global();
+        load_f16(self, flat, pool, pool::elementwise_parts);
+    }
+
+    /// [`Model::load_params_f16`] on an explicit pool, splitting every
+    /// parameter tensor into `parts` ranges whatever its size
+    /// (bit-identical for every `parts`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat.len() != self.num_params()`.
+    fn load_params_f16_on(&mut self, pool: &Pool, parts: usize, flat: &[F16]) {
+        load_f16(self, flat, pool, |_| parts);
+    }
+
     /// Copies all gradients into `flat` (canonical order).
     ///
     /// # Panics
@@ -181,6 +209,22 @@ pub trait Model {
             }
         });
     }
+}
+
+/// Widens `flat` into `model`'s parameters tensor by tensor, each split
+/// into `parts(len)` ranges on `pool`.
+fn load_f16<M: Model + ?Sized>(
+    model: &mut M,
+    flat: &[F16],
+    pool: &Pool,
+    parts: impl Fn(usize) -> usize,
+) {
+    assert_eq!(flat.len(), model.num_params(), "flat buffer length");
+    let mut off = 0;
+    model.visit_mut(&mut |_, p, _| {
+        cast_f16_to_f32_on(pool, parts(p.len()), &flat[off..off + p.len()], p);
+        off += p.len();
+    });
 }
 
 /// Configuration of the small real-execution GPT model.
@@ -890,6 +934,55 @@ mod tests {
     fn forward_validates_input_length() {
         let m = tiny();
         assert!(m.forward(&[0; 7], 1, 8).is_err());
+    }
+
+    fn param_bits<M: Model>(m: &mut M) -> Vec<u32> {
+        let mut flat = vec![0.0f32; m.num_params()];
+        m.copy_params_to(&mut flat);
+        flat.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `load_params_f16` on pools of 1–4 workers, split into as many parts
+    /// and into three more, and on the auto path, leaves exactly the bits
+    /// `load_params_from` of the exactly widened values does — for fp16
+    /// parameters of every class (signaling and quiet NaNs, ±Inf,
+    /// subnormals, signed zeros, normals).
+    fn assert_f16_load_matches_widened_load<M: Model>(make: impl Fn() -> M) {
+        let mut reference = make();
+        let p16: Vec<F16> = (0..reference.num_params())
+            .map(|i| F16::from_bits((i as u16).wrapping_mul(40_503)))
+            .collect();
+        let widened: Vec<f32> = p16.iter().map(|h| h.to_f32()).collect();
+        reference.load_params_from(&widened);
+        let expect = param_bits(&mut reference);
+        static POOLS: std::sync::OnceLock<Vec<std::sync::Arc<Pool>>> = std::sync::OnceLock::new();
+        for pool in POOLS.get_or_init(|| (1..=4).map(Pool::new).collect()) {
+            for parts in [1, pool.threads(), pool.threads() + 3] {
+                let mut m = make();
+                m.load_params_f16_on(pool, parts, &p16);
+                assert_eq!(param_bits(&mut m), expect, "{parts} parts");
+            }
+        }
+        let mut m = make();
+        m.load_params_f16(&p16);
+        assert_eq!(param_bits(&mut m), expect, "auto split");
+    }
+
+    #[test]
+    fn f16_load_matches_widened_load_bitwise() {
+        assert_f16_load_matches_widened_load(tiny);
+        // Tensors of 185, 37, 1369, 37, 111 and 3 elements.
+        assert_f16_load_matches_widened_load(|| Classifier::new(5, 37, 3, 9));
+        // fc_mid holds 520² = 270 400 elements, enough for the auto path
+        // to split it over the shared pool.
+        const { assert!(520 * 520 >= pool::MIN_PARALLEL_ELEMS) };
+        assert_f16_load_matches_widened_load(|| Classifier::new(3, 520, 3, 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "flat buffer length")]
+    fn f16_load_checks_length() {
+        tiny().load_params_f16(&[F16::ZERO; 3]);
     }
 }
 

@@ -29,7 +29,7 @@ pub mod pool;
 mod tensor;
 
 pub use error::TensorError;
-pub use f16::{cast_f16_to_f32, cast_f32_to_f16, F16};
+pub use f16::{cast_f16_to_f32, cast_f16_to_f32_on, cast_f32_to_f16, F16};
 pub use init::Init;
 pub use matmul::{matmul, matmul_a_bt, matmul_at_b};
 pub use pool::{Pool, PoolStats};

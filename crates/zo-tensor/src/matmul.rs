@@ -93,32 +93,6 @@ fn auto_parts(m: usize, k: usize, n: usize) -> usize {
     }
 }
 
-/// Runs `kernel` once per contiguous row-range of `cd` (row width `n`),
-/// on `pool` when more than one range results.
-fn run_row_partitioned<'a>(
-    pool: &Pool,
-    parts: usize,
-    m: usize,
-    n: usize,
-    cd: &'a mut [f32],
-    kernel: impl Fn(core::ops::Range<usize>, &mut [f32]) + Sync + Send + 'a,
-) {
-    let ranges = pool::partition(m, parts);
-    if ranges.len() <= 1 {
-        kernel(0..m, cd);
-        return;
-    }
-    let kernel = &kernel;
-    let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(ranges.len());
-    let mut rest = cd;
-    for rows in ranges {
-        let (head, tail) = rest.split_at_mut(rows.len() * n);
-        tasks.push(Box::new(move || kernel(rows, head)));
-        rest = tail;
-    }
-    pool.run(tasks);
-}
-
 // ---- C += A · B ----
 
 /// The `matmul_acc` inner kernel over output rows `rows`; `cd` holds
@@ -192,7 +166,7 @@ pub fn matmul_acc_on(
         c.shape(),
     )?;
     let (ad, bd) = (a.data(), b.data());
-    run_row_partitioned(pool, parts, m, n, c.data_mut(), |rows, cd| {
+    pool::run_partitioned(pool, parts, m, n, c.data_mut(), |rows, cd| {
         matmul_rows(ad, bd, cd, rows, ka, n);
     });
     Ok(())
@@ -278,7 +252,7 @@ pub fn matmul_at_b_acc_on(
         c.shape(),
     )?;
     let (ad, bd) = (a.data(), b.data());
-    run_row_partitioned(pool, parts, m, n, c.data_mut(), |rows, cd| {
+    pool::run_partitioned(pool, parts, m, n, c.data_mut(), |rows, cd| {
         matmul_at_b_rows(ad, bd, cd, rows, ka, m, n);
     });
     Ok(())
@@ -363,7 +337,7 @@ pub fn matmul_a_bt_acc_on(
         c.shape(),
     )?;
     let (ad, bd) = (a.data(), b.data());
-    run_row_partitioned(pool, parts, m, n, c.data_mut(), |rows, cd| {
+    pool::run_partitioned(pool, parts, m, n, c.data_mut(), |rows, cd| {
         matmul_a_bt_rows(ad, bd, cd, rows, ka, n);
     });
     Ok(())

@@ -282,6 +282,78 @@ unsafe fn erase_lifetime<'scope>(task: Box<dyn FnOnce() + Send + 'scope>) -> Job
     std::mem::transmute(task)
 }
 
+/// Element-wise passes (fp16 narrow/widen, quantize, unscale) over fewer
+/// elements than this run inline: pool dispatch costs more than it saves.
+///
+/// These passes stream memory at ≈ 0.5–2 ns per element on one core, and
+/// the split adds a pool round-trip plus the cost of moving the slice's
+/// cache lines to the workers. Measured on a 2-vCPU host (min-of-N over
+/// the wire quantize and the f16 widen, and per-slice in the traced
+/// `wide-optim` step): at 64 Ki elements the two-way split took 1.4–2×
+/// as long as the serial pass, at 256 Ki it was about even, and at 2 Mi
+/// it was ≈ 1.7× faster. As with
+/// [`MIN_PARALLEL_FLOPS`](crate::matmul::MIN_PARALLEL_FLOPS), the bar sits
+/// where the split stops losing.
+pub const MIN_PARALLEL_ELEMS: usize = 1 << 18;
+
+/// The partition count for an element-wise pass over `n` elements on the
+/// [`global`] pool: one part (inline) below [`MIN_PARALLEL_ELEMS`] or on a
+/// one-thread pool, otherwise one part per worker.
+pub fn elementwise_parts(n: usize) -> usize {
+    let threads = global().threads();
+    if threads <= 1 || n < MIN_PARALLEL_ELEMS {
+        1
+    } else {
+        threads
+    }
+}
+
+/// Runs `kernel` once per range of [`partition`]`(n, parts)`, handing it
+/// the range and that range's disjoint `width`-items-per-element window
+/// of `data`; returns each part's result in range order.
+///
+/// A single range runs inline on the calling thread; otherwise the ranges
+/// run as one batch on `pool`. The split depends only on `(n, parts)`, so
+/// a kernel whose per-element arithmetic does not depend on where its
+/// range starts gives bit-identical results for every `parts`. Must not be
+/// called from inside a task of the same pool (see [`Pool::run`]).
+///
+/// # Panics
+///
+/// Panics if `data.len() != n * width`.
+pub fn run_partitioned<T, R>(
+    pool: &Pool,
+    parts: usize,
+    n: usize,
+    width: usize,
+    data: &mut [T],
+    kernel: impl Fn(core::ops::Range<usize>, &mut [T]) -> R + Sync,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+{
+    assert_eq!(data.len(), n * width, "partitioned data length");
+    let ranges = partition(n, parts);
+    if ranges.len() <= 1 {
+        return vec![kernel(0..n, data)];
+    }
+    let kernel = &kernel;
+    let mut results: Vec<Option<R>> = ranges.iter().map(|_| None).collect();
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
+    let mut rest = data;
+    for (range, slot) in ranges.into_iter().zip(&mut results) {
+        let (head, tail) = rest.split_at_mut(range.len() * width);
+        tasks.push(Box::new(move || *slot = Some(kernel(range, head))));
+        rest = tail;
+    }
+    pool.run(tasks);
+    results
+        .into_iter()
+        .map(|r| r.expect("every part ran"))
+        .collect()
+}
+
 /// Splits `n` items into at most `parts` contiguous ranges of
 /// near-equal size (the deterministic partitioning every parallel kernel
 /// in this workspace uses).

@@ -157,7 +157,7 @@ assert_fp_matrix() { # assert_fp_matrix STAGE
     fp off 1 "$stage" dram
     base=$FP
     for faults in off transient-heavy; do
-        for threads in 1 4; do
+        for threads in 1 2 4; do
             for tier in dram nvme; do
                 fp "$faults" "$threads" "$stage" "$tier"
                 printf '   stage=%s faults=%-15s threads=%s tier=%s -> %s\n' \

@@ -12,7 +12,7 @@ use zero_offload::{StepOutcome, Zero2OffloadEngine, ZeroOffloadConfig, ZeroOfflo
 use zo_collectives::Communicator;
 use zo_nn::{Activation, ColumnParallelLinear, Linear, Model, ParamVisitor, RowParallelLinear};
 use zo_optim::{AdamParams, LossScaleConfig};
-use zo_tensor::{Init, Tensor};
+use zo_tensor::{Init, Pool, Tensor, F16};
 
 const HIDDEN: usize = 8;
 const ROWS_PER_DP: usize = 4;
@@ -244,4 +244,37 @@ fn mp_times_dp_grid_matches_single_process() {
             "rank (d={d}, m={m}): MP+DP trajectory diverged from serial by {max_diff}"
         );
     }
+}
+
+/// The provided `Model::load_params_f16` on this file's own model (which
+/// implements only the required methods): on pools of 1–4 workers, split
+/// into as many parts and into three more, it leaves exactly the bits of
+/// `load_params_from` over the exactly widened values, for fp16
+/// parameters of every class (signaling and quiet NaNs, ±Inf,
+/// subnormals, signed zeros, normals).
+#[test]
+fn own_model_loads_fp16_parameters_bitwise() {
+    let bits = |m: &mut SerialMlp| {
+        let mut flat = vec![0.0f32; m.num_params()];
+        m.copy_params_to(&mut flat);
+        flat.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+    };
+    let mut reference = SerialMlp::new();
+    // 256 + 32 + 256 elements: no tensor is a multiple of 3 parts.
+    let p16: Vec<F16> = (0..reference.num_params())
+        .map(|i| F16::from_bits((i as u16).wrapping_mul(40_503)))
+        .collect();
+    let widened: Vec<f32> = p16.iter().map(|h| h.to_f32()).collect();
+    reference.load_params_from(&widened);
+    let expect = bits(&mut reference);
+    for pool in (1..=4).map(Pool::new) {
+        for parts in [1, pool.threads(), pool.threads() + 3] {
+            let mut m = SerialMlp::new();
+            m.load_params_f16_on(&pool, parts, &p16);
+            assert_eq!(bits(&mut m), expect, "{parts} parts");
+        }
+    }
+    let mut m = SerialMlp::new();
+    m.load_params_f16(&p16);
+    assert_eq!(bits(&mut m), expect, "auto split");
 }
