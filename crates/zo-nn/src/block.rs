@@ -43,7 +43,7 @@ impl Mlp {
     /// Forward pass.
     pub fn forward(&self, x: &Tensor) -> Result<(Tensor, MlpCache), TensorError> {
         let (h1, c1) = self.fc1.forward(x)?;
-        let (a, ca) = self.act.forward(&h1);
+        let (a, ca) = self.act.forward_owned(h1);
         let (y, c2) = self.fc2.forward(&a)?;
         Ok((y, MlpCache { c1, ca, c2 }))
     }
@@ -51,7 +51,7 @@ impl Mlp {
     /// Backward pass.
     pub fn backward(&mut self, cache: &MlpCache, dy: &Tensor) -> Result<Tensor, TensorError> {
         let da = self.fc2.backward(&cache.c2, dy)?;
-        let dh1 = self.act.backward(&cache.ca, &da);
+        let dh1 = self.act.backward_owned(&cache.ca, da);
         self.fc1.backward(&cache.c1, &dh1)
     }
 

@@ -1,10 +1,12 @@
 //! Cross-entropy loss over logits, with fused softmax backward.
 //!
 //! Rows are independent (softmax + one-hot subtraction per row), so the
-//! per-row work parallelizes across the shared worker pool. The scalar
-//! loss is reduced **serially in row order** from per-row log-probs, so
-//! the f64 accumulation sequence — and the returned loss — is
-//! bit-identical to the serial implementation at any thread count.
+//! per-row work parallelizes across the shared worker pool. The softmax
+//! and the target's log-prob use `zo_tensor::ops`' in-repo `exp` and
+//! `ln`, not libm. The scalar loss is reduced **serially in row order**
+//! from per-row log-probs, so the f64 accumulation sequence — and the
+//! returned loss — is bit-identical to the serial implementation at any
+//! thread count.
 
 use zo_tensor::{ops, pool, Tensor, TensorError};
 
@@ -60,7 +62,7 @@ pub fn cross_entropy_on(
             let t = targets[r];
             ops::softmax_row(row);
             // Guard against log(0) when the target prob underflows.
-            logp[li] = (row[t].max(1e-30) as f64).ln();
+            logp[li] = ops::ln(row[t].max(1e-30)) as f64;
             row[t] -= 1.0;
             for v in row.iter_mut() {
                 *v *= inv_n;
@@ -174,6 +176,15 @@ mod tests {
             let (loss, d) = cross_entropy_on(&pool, parts, &logits, &targets).unwrap();
             assert_eq!(loss.to_bits(), want_loss.to_bits(), "parts={parts}");
             assert_eq!(d.data(), want_d.data(), "parts={parts}");
+        }
+        // Pools of 1–4 workers, split as many ways and three more.
+        for threads in 1..=4 {
+            let pool = pool::Pool::new(threads);
+            for parts in [threads, threads + 3] {
+                let (loss, d) = cross_entropy_on(&pool, parts, &logits, &targets).unwrap();
+                assert_eq!(loss.to_bits(), want_loss.to_bits(), "{threads}/{parts}");
+                assert_eq!(d.data(), want_d.data(), "{threads}/{parts}");
+            }
         }
         // And the public entry point agrees bit-for-bit too.
         let (loss, d) = cross_entropy(&logits, &targets).unwrap();

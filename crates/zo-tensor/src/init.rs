@@ -34,7 +34,10 @@ impl Init {
 
     /// Draws one standard-normal sample via Box–Muller.
     pub fn standard_normal(&mut self) -> f32 {
-        // Box–Muller on two uniforms in (0, 1].
+        // Box–Muller on two uniforms in (0, 1]. The libm `ln`/`sqrt`/`cos`
+        // run once per parameter at construction, never in a training
+        // step, so this is the one libm site the CI lint allows (and the
+        // one place the trajectory still depends on the host's libm).
         let u1: f64 = 1.0 - self.rng.random::<f64>();
         let u2: f64 = self.rng.random::<f64>();
         ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32

@@ -12,7 +12,10 @@
 //! All three variants lower onto the packed register-tiled micro-kernel
 //! in [`crate::microkernel`]: operands are repacked per k-panel into a
 //! thread-local scratch and an MR×NR register tile runs contiguous
-//! multiply–adds. The variants differ only in their pack closures.
+//! multiply–adds. The variants differ only in how they hand their
+//! operands to [`gemm_view`]: as rows or as the transpose of a strided
+//! [`View`]. Callers with operands inside larger buffers (attention heads)
+//! call [`gemm_view`] directly.
 //!
 //! # Parallelism and determinism
 //!
@@ -96,9 +99,7 @@ fn auto_parts(m: usize, k: usize, n: usize) -> usize {
 // ---- C += A · B ----
 
 /// The `matmul_acc` inner kernel over output rows `rows`; `cd` holds
-/// exactly those rows. Row-major `A` tiles and row-major `B` panels are
-/// packed into the thread-local scratch and fed to the register-tiled
-/// micro-kernel.
+/// exactly those rows.
 fn matmul_rows(
     ad: &[f32],
     bd: &[f32],
@@ -107,13 +108,14 @@ fn matmul_rows(
     ka: usize,
     n: usize,
 ) {
-    gemm_packed(
-        rows,
+    gemm_view(
+        rows.len(),
         ka,
         n,
+        Operand::Rows(View::new(ad, ka).at(rows.start, 0)),
+        Operand::Rows(View::new(bd, n)),
         cd,
-        |ap, row, mh, k0, kc| pack_a_rows(ad, ka, ap, row, mh, k0, kc),
-        |bp, k0, kc| pack_b_rows(bd, n, bp, k0, kc),
+        n,
     );
 }
 
@@ -182,8 +184,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 // ---- C += Aᵀ · B ----
 
 /// The `matmul_at_b_acc` inner kernel over output rows `rows` (columns of
-/// `A`). `Aᵀ` tiles pack as contiguous copies of `A`'s rows; `B` packs as
-/// in the plain variant.
+/// `A`).
 fn matmul_at_b_rows(
     ad: &[f32],
     bd: &[f32],
@@ -193,13 +194,14 @@ fn matmul_at_b_rows(
     m: usize,
     n: usize,
 ) {
-    gemm_packed(
-        rows,
+    gemm_view(
+        rows.len(),
         ka,
         n,
+        Operand::Transposed(View::new(ad, m).at(0, rows.start)),
+        Operand::Rows(View::new(bd, n)),
         cd,
-        |ap, row, mh, k0, kc| pack_a_transposed(ad, m, ap, row, mh, k0, kc),
-        |bp, k0, kc| pack_b_rows(bd, n, bp, k0, kc),
+        n,
     );
 }
 
@@ -267,10 +269,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 
 // ---- C += A · Bᵀ ----
 
-/// The `matmul_a_bt_acc` inner kernel over output rows `rows`. Packing
-/// `Bᵀ` turns the old strided column dot (one scalar of row-major `B`
-/// per k step) into the same contiguous micro-kernel loop as the plain
-/// variant.
+/// The `matmul_a_bt_acc` inner kernel over output rows `rows`.
 fn matmul_a_bt_rows(
     ad: &[f32],
     bd: &[f32],
@@ -279,13 +278,14 @@ fn matmul_a_bt_rows(
     ka: usize,
     n: usize,
 ) {
-    gemm_packed(
-        rows,
+    gemm_view(
+        rows.len(),
         ka,
         n,
+        Operand::Rows(View::new(ad, ka).at(rows.start, 0)),
+        Operand::Transposed(View::new(bd, ka)),
         cd,
-        |ap, row, mh, k0, kc| pack_a_rows(ad, ka, ap, row, mh, k0, kc),
-        |bp, k0, kc| pack_b_transposed(bd, ka, bp, n, k0, kc),
+        n,
     );
 }
 
@@ -348,6 +348,85 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let mut c = Tensor::zeros(a.rows(), b.rows());
     matmul_a_bt_acc(a, b, &mut c)?;
     Ok(c)
+}
+
+// ---- strided views ----
+
+/// A read-only view of a row-major matrix inside a larger buffer: element
+/// `(r, c)` is `data[r * stride + c]`.
+///
+/// One attention head's `(seq, head_dim)` block of a `(tokens, hidden)`
+/// activation is the view `View::new(x.data(), hidden).at(t0, h * head_dim)`:
+/// the GEMM packs read it in place, so no head is copied out.
+#[derive(Debug, Clone, Copy)]
+pub struct View<'a> {
+    data: &'a [f32],
+    stride: usize,
+}
+
+impl<'a> View<'a> {
+    /// A view of `data` with rows `stride` elements apart.
+    pub fn new(data: &'a [f32], stride: usize) -> View<'a> {
+        View { data, stride }
+    }
+
+    /// The view whose `(0, 0)` is this view's `(row, col)`; empty when
+    /// that lies past the end of the buffer (an operand with no elements,
+    /// such as a zero-depth product's).
+    pub fn at(self, row: usize, col: usize) -> View<'a> {
+        let start = (row * self.stride + col).min(self.data.len());
+        View {
+            data: &self.data[start..],
+            stride: self.stride,
+        }
+    }
+}
+
+/// How [`gemm_view`] reads an operand's [`View`].
+#[derive(Debug, Clone, Copy)]
+pub enum Operand<'a> {
+    /// The operand is the view itself.
+    Rows(View<'a>),
+    /// The operand is the view's transpose.
+    Transposed(View<'a>),
+}
+
+/// `c[i·ldc + j] += Σ_k op(a)[i][k] · op(b)[k][j]` for `i < m`, `j < n`,
+/// `k < ka`, inline on the calling thread.
+///
+/// The operands are strided [`View`]s read straight into the packed
+/// micro-kernel, and each element's arithmetic is the packed kernel's
+/// (one `C +=` per [`KC`](crate::microkernel::KC)-deep panel), so the
+/// result is bit-identical to [`matmul_acc_serial`] and its transposed
+/// siblings on the same values. Callers that split work across the pool
+/// call it once per part.
+///
+/// # Panics
+///
+/// Panics if `n > ldc` or a view or `c` is too short for the product.
+pub fn gemm_view(
+    m: usize,
+    ka: usize,
+    n: usize,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(n <= ldc, "gemm_view: {n} columns in rows {ldc} apart");
+    assert!(c.len() >= (m - 1) * ldc + n, "gemm_view: output too short");
+    let pack_a = |ap: &mut [f32], row, mh, k0, kc| match a {
+        Operand::Rows(v) => pack_a_rows(v.data, v.stride, ap, row, mh, k0, kc),
+        Operand::Transposed(v) => pack_a_transposed(v.data, v.stride, ap, row, mh, k0, kc),
+    };
+    let pack_b = |bp: &mut [f32], k0, kc| match b {
+        Operand::Rows(v) => pack_b_rows(v.data, v.stride, n, bp, k0, kc),
+        Operand::Transposed(v) => pack_b_transposed(v.data, v.stride, bp, n, k0, kc),
+    };
+    gemm_packed(0..m, ka, n, c, ldc, pack_a, pack_b);
 }
 
 #[cfg(test)]
@@ -511,5 +590,57 @@ mod tests {
         let mut c = Tensor::full(2, 2, 1.0);
         matmul_acc(&a, &b, &mut c).unwrap();
         assert_eq!(c, Tensor::from_rows(&[&[3.0, 1.0], &[1.0, 3.0]]).unwrap());
+    }
+
+    #[test]
+    fn strided_views_match_the_tensor_kernels_bitwise() {
+        // Operands embedded at an offset inside wider buffers, and an
+        // output with a row stride wider than the product.
+        let (m, k, n) = (9usize, 37usize, 11usize);
+        let (pad, ldc) = (5usize, 16usize);
+        let a = randomish(m, k, 1);
+        let b = randomish(k, n, 2);
+        let a_t = randomish(k, m, 3);
+        let b_t = randomish(n, k, 4);
+        let embed = |t: &Tensor| -> (Vec<f32>, usize) {
+            let stride = t.cols() + pad;
+            let mut buf = vec![f32::NAN; (t.rows() + 1) * stride];
+            for r in 0..t.rows() {
+                buf[(r + 1) * stride + 2..(r + 1) * stride + 2 + t.cols()]
+                    .copy_from_slice(t.row(r));
+            }
+            (buf, stride)
+        };
+        fn view(buf: &(Vec<f32>, usize)) -> View<'_> {
+            View::new(&buf.0, buf.1).at(1, 2)
+        }
+        let (ea, eb, eat, ebt) = (embed(&a), embed(&b), embed(&a_t), embed(&b_t));
+        for (want, ao, bo) in [
+            (
+                matmul(&a, &b).unwrap(),
+                Operand::Rows(view(&ea)),
+                Operand::Rows(view(&eb)),
+            ),
+            (
+                matmul_at_b(&a_t, &b).unwrap(),
+                Operand::Transposed(view(&eat)),
+                Operand::Rows(view(&eb)),
+            ),
+            (
+                matmul_a_bt(&a, &b_t).unwrap(),
+                Operand::Rows(view(&ea)),
+                Operand::Transposed(view(&ebt)),
+            ),
+        ] {
+            let mut c = vec![-7.0f32; m * ldc];
+            for r in 0..m {
+                c[r * ldc..r * ldc + n].fill(0.0);
+            }
+            gemm_view(m, k, n, ao, bo, &mut c, ldc);
+            for r in 0..m {
+                assert_eq!(&c[r * ldc..r * ldc + n], want.row(r));
+                assert!(c[r * ldc + n..(r + 1) * ldc].iter().all(|&v| v == -7.0));
+            }
+        }
     }
 }

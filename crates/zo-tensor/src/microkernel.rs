@@ -68,7 +68,7 @@ thread_local! {
 /// The register-tiled inner kernel over one packed tile pair: `M` rows of
 /// packed `A` (`ap[k*M + r]`) against NR columns of packed `B`
 /// (`bp[k*NR + c]`), accumulating into `M`×`jw` elements of `cd` at
-/// (`row0`, `col0`) with row stride `n`.
+/// (`row0`, `col0`) with row stride `ldc`.
 ///
 /// `M` is a const generic so row tails (M < MR) monomorphize into kernels
 /// running the identical per-element arithmetic with fewer accumulator
@@ -86,7 +86,7 @@ fn kernel_m<const M: usize>(
     cd: &mut [f32],
     row0: usize,
     col0: usize,
-    n: usize,
+    ldc: usize,
     jw: usize,
 ) {
     let mut acc = [[0.0f32; NR]; M];
@@ -102,7 +102,7 @@ fn kernel_m<const M: usize>(
         }
     }
     for r in 0..M {
-        let start = (row0 + r) * n + col0;
+        let start = (row0 + r) * ldc + col0;
         for (cv, av) in cd[start..start + jw].iter_mut().zip(&acc[r][..jw]) {
             *cv += *av;
         }
@@ -110,7 +110,8 @@ fn kernel_m<const M: usize>(
 }
 
 /// Drives the packed micro-kernel over output rows `rows` of a `(·, n)`
-/// product with inner dimension `ka`; `cd` holds exactly those rows.
+/// product with inner dimension `ka`; `cd` holds exactly those rows, each
+/// `ldc ≥ n` elements apart.
 ///
 /// The operand layouts live in the two pack closures:
 ///
@@ -123,6 +124,7 @@ pub(crate) fn gemm_packed(
     ka: usize,
     n: usize,
     cd: &mut [f32],
+    ldc: usize,
     pack_a: impl Fn(&mut [f32], usize, usize, usize, usize),
     pack_b: impl Fn(&mut [f32], usize, usize),
 ) {
@@ -148,10 +150,10 @@ pub(crate) fn gemm_packed(
                     let jw = NR.min(n - j0);
                     let bpk = &bp[jb * kc * NR..(jb + 1) * kc * NR];
                     match mh {
-                        4 => kernel_m::<4>(apk, bpk, cd, li0, j0, n, jw),
-                        3 => kernel_m::<3>(apk, bpk, cd, li0, j0, n, jw),
-                        2 => kernel_m::<2>(apk, bpk, cd, li0, j0, n, jw),
-                        _ => kernel_m::<1>(apk, bpk, cd, li0, j0, n, jw),
+                        4 => kernel_m::<4>(apk, bpk, cd, li0, j0, ldc, jw),
+                        3 => kernel_m::<3>(apk, bpk, cd, li0, j0, ldc, jw),
+                        2 => kernel_m::<2>(apk, bpk, cd, li0, j0, ldc, jw),
+                        _ => kernel_m::<1>(apk, bpk, cd, li0, j0, ldc, jw),
                     }
                 }
             }
@@ -196,10 +198,18 @@ pub(crate) fn pack_a_transposed(
     }
 }
 
-/// Packs a `kc`-deep panel of row-major `B` `(ka, n)` into NR-column
-/// blocks. The final block's missing columns are zeroed (the scratch is
-/// reused across calls, so stale values would otherwise leak in).
-pub(crate) fn pack_b_rows(bd: &[f32], n: usize, bp: &mut [f32], k0: usize, kc: usize) {
+/// Packs a `kc`-deep panel of row-major `B` `(ka, n)`, whose rows are
+/// `stride` elements apart, into NR-column blocks. The final block's
+/// missing columns are zeroed (the scratch is reused across calls, so
+/// stale values would otherwise leak in).
+pub(crate) fn pack_b_rows(
+    bd: &[f32],
+    stride: usize,
+    n: usize,
+    bp: &mut [f32],
+    k0: usize,
+    kc: usize,
+) {
     let n_blocks = n.div_ceil(NR);
     for jb in 0..n_blocks {
         let j0 = jb * NR;
@@ -209,7 +219,7 @@ pub(crate) fn pack_b_rows(bd: &[f32], n: usize, bp: &mut [f32], k0: usize, kc: u
             dst.fill(0.0);
         }
         for k in 0..kc {
-            let src = &bd[(k0 + k) * n + j0..(k0 + k) * n + j0 + jw];
+            let src = &bd[(k0 + k) * stride + j0..(k0 + k) * stride + j0 + jw];
             dst[k * NR..k * NR + jw].copy_from_slice(src);
         }
     }
@@ -282,8 +292,9 @@ mod tests {
                 k,
                 n,
                 &mut got,
+                n,
                 |ap, row, mh, k0, kc| pack_a_rows(&ad, k, ap, row, mh, k0, kc),
-                |bp, k0, kc| pack_b_rows(&bd, n, bp, k0, kc),
+                |bp, k0, kc| pack_b_rows(&bd, n, n, bp, k0, kc),
             );
             assert_eq!(got, want, "m={m} k={k} n={n}");
         }
@@ -302,8 +313,9 @@ mod tests {
             k,
             16,
             &mut c_big,
+            16,
             |ap, row, mh, k0, kc| pack_a_rows(&ad, k, ap, row, mh, k0, kc),
-            |bp, k0, kc| pack_b_rows(&big_b, 16, bp, k0, kc),
+            |bp, k0, kc| pack_b_rows(&big_b, 16, 16, bp, k0, kc),
         );
         // Now a 3-column product on the same thread: columns 3..8 of the
         // scratch still hold 9.0 unless the pack zeroes them.
@@ -314,8 +326,9 @@ mod tests {
             k,
             3,
             &mut c_small,
+            3,
             |ap, row, mh, k0, kc| pack_a_rows(&ad, k, ap, row, mh, k0, kc),
-            |bp, k0, kc| pack_b_rows(&small_b, 3, bp, k0, kc),
+            |bp, k0, kc| pack_b_rows(&small_b, 3, 3, bp, k0, kc),
         );
         assert_eq!(c_small, vec![8.0f32; 6]);
     }

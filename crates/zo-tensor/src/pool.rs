@@ -300,8 +300,15 @@ pub const MIN_PARALLEL_ELEMS: usize = 1 << 18;
 /// [`global`] pool: one part (inline) below [`MIN_PARALLEL_ELEMS`] or on a
 /// one-thread pool, otherwise one part per worker.
 pub fn elementwise_parts(n: usize) -> usize {
+    parts_from(n, MIN_PARALLEL_ELEMS)
+}
+
+/// The partition count for a pass over `n` elements on the [`global`]
+/// pool when the split pays from `min` elements on: one part (inline)
+/// below `min` or on a one-thread pool, otherwise one part per worker.
+pub fn parts_from(n: usize, min: usize) -> usize {
     let threads = global().threads();
-    if threads <= 1 || n < MIN_PARALLEL_ELEMS {
+    if threads <= 1 || n < min {
         1
     } else {
         threads

@@ -8,6 +8,7 @@
 
 use crate::error::TensorError;
 use crate::f16::F16;
+use crate::pool;
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -189,9 +190,19 @@ impl Tensor {
         out
     }
 
-    /// Fills the tensor with zeros in place.
+    /// Fills the tensor with zeros in place, split over the shared worker
+    /// pool when it holds at least [`pool::MIN_PARALLEL_ELEMS`] elements
+    /// (a layer's gradient buffer at the start of every step).
     pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
+        let n = self.data.len();
+        pool::run_partitioned(
+            pool::global(),
+            pool::elementwise_parts(n),
+            n,
+            1,
+            &mut self.data,
+            |_, part| part.fill(0.0),
+        );
     }
 
     /// Reshapes in place without moving data.
@@ -307,6 +318,17 @@ mod tests {
         assert_eq!(t.get(1, 2), Some(5.0));
         assert_eq!(t.get(2, 0), None);
         assert!(t.set(0, 3, 1.0).is_err());
+    }
+
+    #[test]
+    fn fill_zero_clears_small_and_split_tensors() {
+        // One tensor below the split threshold and one above it (split
+        // whenever the global pool has more than one worker).
+        for cols in [3usize, pool::MIN_PARALLEL_ELEMS / 64 + 5] {
+            let mut t = Tensor::full(64, cols, -0.5);
+            t.fill_zero();
+            assert!(t.data().iter().all(|v| v.to_bits() == 0), "{cols} cols");
+        }
     }
 
     #[test]

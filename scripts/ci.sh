@@ -64,6 +64,25 @@ lint_no_mul_add() {
     fi
 }
 
+# `.tanh()`, `.exp()`, `.ln()` and `.powf(` in the compute crates'
+# non-test code: on the baseline x86-64 target each is a libm call per
+# element that also blocks vectorization of its loop (`tanhf` made the
+# GELU ≈ 5x slower than the branch-free lanes in `zo_tensor::ops`, which
+# are the definitions to call instead). The one allowed site is
+# `Init::standard_normal`'s Box–Muller `ln`, which runs once per
+# parameter at model construction, never in a step.
+lint_no_libm_transcendentals() {
+    local hits
+    hits=$(non_test_matches '[.](tanh|exp|ln)[(][)]|[.]powf[(]' \
+        crates/zo-tensor/src/*.rs crates/zo-nn/src/*.rs crates/zo-optim/src/*.rs |
+        grep -Ev '^crates/zo-tensor/src/init[.]rs:[0-9]+: .*u1[.]ln[(][)]' || true)
+    if [ -n "$hits" ]; then
+        echo "FAIL: libm transcendental in non-test compute code (use zo_tensor::ops::{exp, tanh, ln}):" >&2
+        echo "$hits" >&2
+        return 1
+    fi
+}
+
 # Background work is scoped: a detached `thread::spawn` or a
 # `thread::Builder` thread outlives the call that started it and needs a
 # shutdown, drain and join protocol of its own. Outside the shared worker
@@ -86,6 +105,7 @@ leg_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
     lint_no_mul_add
+    lint_no_libm_transcendentals
     lint_scoped_threads
 }
 

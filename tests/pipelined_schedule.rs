@@ -295,11 +295,12 @@ fn checkpoint_with_update_in_flight_resumes_bitwise() {
 /// Each run takes overflow skips after the warm-up (a two-step
 /// loss-scale growth interval keeps the scale hitting fp16's ceiling)
 /// and is cut mid-run by a checkpoint that is encoded to bytes, decoded
-/// and resumed into a fresh engine. The values were recorded before the
-/// delayed update moved onto a scoped thread; the DPU's bits must not
-/// move with its mechanism.
-const DPU_PIN_WORLD1: u64 = 0xb2a5a90040bb6c61;
-const DPU_PIN_ZERO2: u64 = 0x9931ee21afb0a62f;
+/// and resumed into a fresh engine. The DPU's bits must not move with its
+/// mechanism; they move only with the model's numerics, and were last
+/// re-recorded when the GELU, softmax and cross-entropy moved from libm's
+/// `tanh`/`exp`/`ln` to `zo_tensor::ops`' own.
+const DPU_PIN_WORLD1: u64 = 0xe1e9f82b4eca70bf;
+const DPU_PIN_ZERO2: u64 = 0xab81bd475bddea44;
 
 const PIN_STEPS: usize = 18;
 const PIN_SPLIT: usize = 9;
