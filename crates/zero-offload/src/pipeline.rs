@@ -22,9 +22,7 @@
 
 use zo_fault::{with_retry, FaultError, FaultSession, Site};
 use zo_nn::{BackwardHook, Model};
-use zo_optim::{
-    adam_reference_step, AdamParams, AdamState, CpuAdam, CpuAdamConfig, DynamicLossScaler,
-};
+use zo_optim::{AdamState, CpuAdam, CpuAdamConfig, DynamicLossScaler};
 use zo_tensor::{cast_f32_to_f16, F16};
 use zo_trace::{names, Tracer};
 
@@ -105,9 +103,8 @@ impl<E: core::fmt::Display + core::fmt::Debug> std::error::Error for StepError<E
 
 /// The optimizer behind the update stage.
 pub(crate) enum Updater {
-    /// Non-offload reference path (scalar Adam, same recurrence).
-    Reference(AdamState, AdamParams),
-    /// The offloaded CPU-Adam, synchronous.
+    /// The CPU-Adam, synchronous: the offloaded optimizer, and the one
+    /// the no-offload path runs too (so the two differ only in placement).
     Cpu(CpuAdam),
     /// The offloaded CPU-Adam, one step delayed beside the next backward.
     Dpu(Dpu),
@@ -122,10 +119,10 @@ pub(crate) enum Updater {
 /// Builds the optimizer behind the update stage from the config's
 /// offload knobs, for this rank's master shard.
 ///
-/// Without offload it is the scalar reference Adam. With offload,
-/// [`TierKind::Dram`] is the classic resident [`CpuAdam`] — delayed by
-/// one step when `dpu_warmup` is set — and [`TierKind::Nvme`] streams the
-/// states through a file-backed [`NvmeTier`] under the configured DRAM
+/// It is the resident [`CpuAdam`] — without offload too, so the two
+/// paths differ only in placement — delayed by one step when
+/// `dpu_warmup` is set, and with offload on [`TierKind::Nvme`] the states
+/// stream through a file-backed [`NvmeTier`] under the configured DRAM
 /// scratch budget. [`ZeroOffloadConfig::validate`] has already refused
 /// DPU without offload or off DRAM.
 pub(crate) fn build_updater(
@@ -134,20 +131,16 @@ pub(crate) fn build_updater(
     tracer: &Tracer,
     track: &str,
 ) -> Updater {
-    if cfg.offload == OffloadDevice::None {
-        return Updater::Reference(AdamState::new(master.len()), cfg.adam);
-    }
     let opt_cfg = CpuAdamConfig {
         hp: cfg.adam,
         num_threads: cfg.resolved_optimizer_threads(),
         tile_width: cfg.tile_width,
     };
-    match (cfg.optimizer_tier, cfg.dpu_warmup) {
-        (TierKind::Dram, None) => Updater::Cpu(CpuAdam::new(opt_cfg, master.len())),
-        (TierKind::Dram, Some(warmup)) => {
+    match (cfg.offload, cfg.optimizer_tier, cfg.dpu_warmup) {
+        (OffloadDevice::Cpu, TierKind::Dram, Some(warmup)) => {
             Updater::Dpu(Dpu::new(opt_cfg, master.len(), warmup, tracer, track))
         }
-        (TierKind::Nvme, _) => Updater::Tiered(TieredAdam::new(
+        (OffloadDevice::Cpu, TierKind::Nvme, _) => Updater::Tiered(TieredAdam::new(
             Box::new(NvmeTier::new().expect("create NVMe spill directory")),
             cfg.adam,
             master,
@@ -155,6 +148,8 @@ pub(crate) fn build_updater(
             tracer.clone(),
             track,
         )),
+        // Without offload, or resident on DRAM without the delay.
+        _ => Updater::Cpu(CpuAdam::new(opt_cfg, master.len())),
     }
 }
 
@@ -383,7 +378,6 @@ impl StepPipeline {
     /// Snapshot of optimizer state + DPU bookkeeping (checkpointing).
     pub(crate) fn updater_state(&self) -> (AdamState, Option<crate::checkpoint::DpuCheckpoint>) {
         match &self.updater {
-            Updater::Reference(state, _) => (state.clone(), None),
             Updater::Cpu(opt) => (opt.state().clone(), None),
             Updater::Dpu(dpu) => {
                 let (state, dpu) = dpu.checkpoint();
@@ -406,10 +400,6 @@ impl StepPipeline {
                 engine: want,
             };
         match (&mut self.updater, dpu) {
-            (Updater::Reference(state, _), None) => {
-                *state = optim.clone();
-                Ok(())
-            }
             (Updater::Cpu(opt), None) => opt
                 .load_state(optim.clone())
                 .map_err(|_| mismatch(optim.len(), self.master.len())),
@@ -588,12 +578,6 @@ impl StepPipeline {
         {
             let _update = self.tracer.span(update_track, update_span);
             match &mut self.updater {
-                Updater::Reference(state, hp) => {
-                    // The recurrence is identical to CpuAdam's, bit for bit.
-                    adam_reference_step(hp, state, &mut self.master, &self.grads)
-                        .expect("pipeline buffers are sized together");
-                    cast_f32_to_f16(&self.master, &mut self.p16);
-                }
                 Updater::Cpu(opt) => {
                     opt.step_mixed(&mut self.master, &self.grads, &mut self.p16)
                         .expect("pipeline buffers are sized together");

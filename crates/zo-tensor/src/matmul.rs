@@ -45,17 +45,25 @@ use crate::tensor::Tensor;
 /// Products below this many flops (`2·m·k·n`) always run inline: pool
 /// dispatch costs more than it saves.
 ///
-/// Recalibrated for the packed micro-kernel (min-of-N wall clock over
-/// square shapes): serial sustains
-/// ≈ 16 GFLOP/s at 16³ rising to ≈ 27 GFLOP/s by 128³, and a 4-task
-/// pool round-trip costs ≈ 3 µs (the pool-minus-serial gap at 16³,
-/// where per-part kernel work is negligible). Each part re-packs its
-/// own B panels, so parallel overhead also grows with `k·n`; requiring
-/// the serial kernel time (≈ 65 µs at 96³) to be ≥ ~20× the fixed
-/// round-trip keeps dispatch plus duplicated packing under ~10 % of the
-/// work being split. The old threshold (2·64³) was tuned for the
-/// ≈ 0.6 GFLOP/s `mul_add`-loop kernel; at ~40× the throughput the
-/// break-even product is correspondingly larger.
+/// Calibrated for the portable packed micro-kernel (min-of-N wall clock
+/// over square shapes): serial sustains ≈ 16 GFLOP/s at 16³ rising to
+/// ≈ 27 GFLOP/s by 128³, and a 4-task pool round-trip costs ≈ 3 µs (the
+/// pool-minus-serial gap at 16³, where per-part kernel work is
+/// negligible). Each part re-packs its own B panels, so parallel
+/// overhead also grows with `k·n`; requiring the serial kernel time
+/// (≈ 65 µs at 96³) to be ≥ ~20× the fixed round-trip keeps dispatch
+/// plus duplicated packing under ~10 % of the work being split.
+///
+/// Re-measured for the AVX kernel (≈ 2× faster) on a 2-vCPU Xeon guest
+/// with AVX-512, the isolated break-even moves up: a two-part split of
+/// a square product lost at 96³ and 112³ in six runs of seven, was a
+/// toss-up at 128³ (0.83–1.28× the serial time) and won from 160³, and
+/// at 2·16·256·256 flops (the `wide-*` projections) it lost 1.0–1.8×.
+/// But moving the bar to 2·128³ made whole training steps slower
+/// (`wide-optim` and `serve-mixed` in the benchmark, 13 of 17
+/// alternating pairs), so it stays: in a step, a split also keeps the
+/// second worker awake for the split that follows, which an isolated
+/// probe does not see.
 pub const MIN_PARALLEL_FLOPS: usize = 2 * 96 * 96 * 96;
 
 fn check_shapes(
@@ -422,9 +430,9 @@ pub fn gemm_view(
         Operand::Rows(v) => pack_a_rows(v.data, v.stride, ap, row, mh, k0, kc),
         Operand::Transposed(v) => pack_a_transposed(v.data, v.stride, ap, row, mh, k0, kc),
     };
-    let pack_b = |bp: &mut [f32], k0, kc| match b {
-        Operand::Rows(v) => pack_b_rows(v.data, v.stride, n, bp, k0, kc),
-        Operand::Transposed(v) => pack_b_transposed(v.data, v.stride, bp, n, k0, kc),
+    let pack_b = |bp: &mut [f32], nr, k0, kc, cols| match b {
+        Operand::Rows(v) => pack_b_rows(v.data, v.stride, bp, nr, k0, kc, cols),
+        Operand::Transposed(v) => pack_b_transposed(v.data, v.stride, bp, nr, k0, kc, cols),
     };
     gemm_packed(0..m, ka, n, c, ldc, pack_a, pack_b);
 }

@@ -51,14 +51,26 @@ non_test_matches() {
     ' "$@"
 }
 
-# `f32::mul_add` outside test code: on the baseline x86-64 target it
-# lowers to a libm `fmaf` call per element and blocks vectorization (it
-# cost GEMM ~40x and CpuAdam ~5x before it was found, twice).
+# Fused multiply-add outside test code, in any spelling:
+#   - `mul_add(`: on the baseline x86-64 target `f32::mul_add` lowers to
+#     a libm `fmaf` call per element and blocks vectorization (it cost
+#     GEMM ~40x and CpuAdam ~5x before it was found, twice);
+#   - the `fmadd`/`fmsub`/`fnmadd`/`fnmsub` intrinsics, and `fma` inside a
+#     `target_feature(enable = ...)`: a fused op rounds once where the
+#     mul-then-add the portable kernels run rounds twice, so on a
+#     runtime-dispatched SIMD path (the AVX GEMM kernel) it would move
+#     bits only on hosts that take the fast path. CI's fingerprint matrix
+#     runs only there, and the portable kernels' tests cannot see it.
 lint_no_mul_add() {
-    local hits
-    hits=$(non_test_matches 'mul_add[(]' crates/*/src/*.rs crates/*/src/bin/*.rs)
+    local hits files=(crates/*/src/*.rs crates/*/src/bin/*.rs)
+    hits=$(
+        non_test_matches 'mul_add[(]' "${files[@]}"
+        non_test_matches 'f(n)?m(add|sub)' "${files[@]}"
+        non_test_matches 'target_feature[(][^)]*enable[^)]*fma' "${files[@]}"
+    )
     if [ -n "$hits" ]; then
-        echo "FAIL: mul_add( in non-test code (write a * b + c):" >&2
+        echo "FAIL: fused multiply-add in non-test code (write a * b + c, or" \
+            "_mm256_mul_ps then _mm256_add_ps, and enable no \"fma\" target feature):" >&2
         echo "$hits" >&2
         return 1
     fi
